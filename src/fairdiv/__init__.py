@@ -5,12 +5,19 @@ pieces by the pointwise max of member densities.  A projected subgradient
 method over the unit simplex computes the weighted maxmin value with
 certified upper and lower bounds, and the induced coalitional game with
 Shapley values.
+
+Game values (``full_game``, ``game_value``) come from a cutting-plane solver
+(``cutting_plane_value``), which needs no step rule.  The step rule of
+``SolverConfig`` (``--step-scale``/``--clip-k`` on the command line) applies
+to the subgradient solves only: ``solve_value``, ``solve_partition`` and the
+competitive pre-solve behind pre-division weights.
 """
 
 from .bounds import BoundPair, bound_pair, lower_bound, upper_bound
 from .coalitions import (GameEntry, GameTable, ShapleyResult, WeightSystem,
                          cardinality_weights, full_game, game_value,
                          pre_division_weights, shapley, weight_of)
+from .cutting import cutting_plane_value
 from .measures import (DensitySpec, Grid, MeasureTable, cell_masses,
                        coalition_table, density_cdf, density_eval)
 from .partition import (Allocation, PvvResult, WeightedProblem, g_eval,
@@ -27,11 +34,11 @@ __all__ = [
     "ProblemFormatError", "PvvResult", "ShapleyResult", "SolveResult",
     "SolverConfig", "StepRule", "WeightSystem", "WeightedProblem",
     "bound_pair", "cardinality_weights", "cell_masses", "clipped_step",
-    "coalition_table", "density_cdf", "density_eval", "full_game", "g_eval",
-    "game_value", "load_problem", "lower_bound", "maxsum_partition",
-    "pre_division_weights", "save_problem", "shapley", "solve_partition",
-    "solve_value", "update_alpha", "upper_bound", "weight_of",
-    "weighted_problem",
+    "coalition_table", "cutting_plane_value", "density_cdf", "density_eval",
+    "full_game", "g_eval", "game_value", "load_problem", "lower_bound",
+    "maxsum_partition", "pre_division_weights", "save_problem", "shapley",
+    "solve_partition", "solve_value", "update_alpha", "upper_bound",
+    "weight_of", "weighted_problem",
 ]
 
 __version__ = "0.1.0"

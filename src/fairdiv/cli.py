@@ -1,7 +1,12 @@
 """Command-line front end: problem ingestion, solves, table and trace output.
 
 Exit codes: 0 success, 2 problem-file parse error, 3 solver did not converge
-(partial outputs are still written, flagged), 4 invalid configuration.
+(partial outputs are still written, flagged), 4 invalid configuration or a
+problem the library rejects.
+
+Game values (``game``, ``shapley``) come from the cutting-plane solver, which
+has no step rule; ``--step-scale`` and ``--clip-k`` tune the projected
+subgradient method behind ``solve``, ``partition`` and ``trace`` only.
 """
 
 from __future__ import annotations
@@ -11,10 +16,11 @@ import io
 import itertools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .coalitions import (GameTable, cardinality_weights, default_game_config,
-                         full_game, game_value, pre_division_weights, shapley)
+from .coalitions import (PRE_SOLVE_EPSILON, GameTable, WeightSystem,
+                         cardinality_weights, full_game, game_value,
+                         pre_division_weights, shapley)
 from .measures import Grid
 from .partition import weighted_problem
 from .problemfile import Problem, ProblemFormatError, load_problem
@@ -62,8 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="weight system (default: problem file, else all ones)")
     p.add_argument("--epsilon", type=float, help="stop tolerance")
     p.add_argument("--grid", type=int, help="grid cells override")
-    p.add_argument("--step-scale", type=float, help="base step scale")
-    p.add_argument("--clip-k", type=int, help="interiority clip constant")
+    p.add_argument("--step-scale", type=float,
+                   help="base step scale (solve, partition, trace)")
+    p.add_argument("--clip-k", type=int,
+                   help="interiority clip constant (solve, partition, trace)")
     p.add_argument("--max-iter", type=int, help="iteration cap")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker threads for 'game'/'shapley'")
@@ -105,7 +113,13 @@ def _parse_structure(text: str | None, n: int) -> tuple[tuple[int, ...], ...]:
 
 def _solver_config(spec: RunSpec, problem: Problem,
                    for_game: bool = False) -> SolverConfig:
-    base = default_game_config() if for_game else SolverConfig()
+    if for_game:
+        for flag, value in (("--step-scale", spec.step_scale),
+                            ("--clip-k", spec.clip_k)):
+            if value is not None:
+                raise ConfigError(f"{flag} applies only to solve, partition "
+                                  "and trace")
+    base = SolverConfig()
     rule = base.step_rule
     try:
         if spec.step_scale is not None:
@@ -138,7 +152,7 @@ def _structure_weights(spec: RunSpec, problem: Problem, structure):
     if choice == "card":
         return tuple(float(len(s)) for s in structure)
     if choice == "pre":
-        system = pre_division_weights(problem.densities)
+        system = _pre_weights(spec, problem)
         return tuple(system.values[frozenset(s)] for s in structure)
     if isinstance(problem.weights, tuple) and spec.weights is None:
         if len(problem.weights) != len(structure):
@@ -208,6 +222,19 @@ def _cmd_partition(spec: RunSpec, problem: Problem) -> int:
     return EXIT_OK if res.converged else EXIT_UNCONVERGED
 
 
+def _pre_weights(spec: RunSpec, problem: Problem) -> WeightSystem:
+    """Pre-division weights; ``--max-iter`` caps the competitive pre-solve
+    too."""
+    if spec.max_iter is None:
+        return pre_division_weights(problem.densities)
+    try:
+        config = SolverConfig(epsilon=PRE_SOLVE_EPSILON,
+                              max_iterations=spec.max_iter)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    return pre_division_weights(problem.densities, config=config)
+
+
 def _systems(spec: RunSpec, problem: Problem) -> dict:
     names = [spec.weights] if spec.weights else ["card", "pre"]
     out = {}
@@ -215,7 +242,7 @@ def _systems(spec: RunSpec, problem: Problem) -> dict:
         if name == "card":
             out["card"] = cardinality_weights()
         else:
-            out["pre"] = pre_division_weights(problem.densities)
+            out["pre"] = _pre_weights(spec, problem)
     return out
 
 
@@ -306,10 +333,7 @@ def _cmd_trace(spec: RunSpec, problem: Problem) -> int:
     structure = _parse_structure(spec.coalitions, problem.n)
     weights = _structure_weights(spec, problem, structure)
     wp = weighted_problem(problem.densities, structure, weights, grid)
-    config = _solver_config(spec, problem)
-    config = SolverConfig(epsilon=config.epsilon,
-                          max_iterations=config.max_iterations,
-                          step_rule=config.step_rule, record_trace=True)
+    config = replace(_solver_config(spec, problem), record_trace=True)
     res = solve_value(wp, config)
     _emit(spec, res.trace.to_csv_string())
     return EXIT_OK if res.converged else EXIT_UNCONVERGED
@@ -337,6 +361,9 @@ def run(spec: RunSpec) -> int:
         return _DISPATCH[spec.command](spec, problem)
     except ConfigError as e:
         print(f"fairdiv: invalid configuration: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ValueError as e:
+        print(f"fairdiv: cannot solve this problem: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except RuntimeError as e:
         print(f"fairdiv: {e}", file=sys.stderr)

@@ -6,6 +6,10 @@ value is w(S) times the maxmin value of that structure.  Two weight systems
 are supported: coalition cardinality, and pre-division utility, where w(S) is
 what S's joint preference assigns to the union of its members' pieces in the
 competitive optimal partition.
+
+Game values come from the cutting-plane solver (``cutting``); the
+competitive pre-solve behind pre-division weights stays on the projected
+subgradient method.
 """
 
 from __future__ import annotations
@@ -17,16 +21,13 @@ from math import factorial
 
 import numpy as np
 
+from .cutting import cutting_plane_value
 from .measures import Grid, coalition_table
 from .partition import WeightedProblem
-from .subgradient import SolverConfig, StepRule, solve_partition, solve_value
+from .subgradient import SolverConfig, solve_partition
 
 CARDINALITY = "cardinality"
 PRE_DIVISION = "pre_division"
-
-#: step rule for game-table solves; some structures stall under the harmonic
-#: default, the slower-decaying sqrt rule converges on all of them
-GAME_STEP_RULE = StepRule(kind="sqrt", scale=0.05, clip=10)
 
 #: competitive pre-solve for pre-division weights: tighter epsilon needs a
 #: finer grid, since the value-vector spread is quantized at cell-mass scale
@@ -35,7 +36,7 @@ PRE_SOLVE_CELLS = 32_768
 
 
 def default_game_config(epsilon: float = 1e-3) -> SolverConfig:
-    return SolverConfig(epsilon=epsilon, step_rule=GAME_STEP_RULE)
+    return SolverConfig(epsilon=epsilon)
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,7 @@ def game_value(players, coalition, system: WeightSystem,
     problem = WeightedProblem(structure=structure,
                               weights=_structure_weights(structure, system),
                               table=table.restrict(structure))
-    res = solve_value(problem, config)
+    res = cutting_plane_value(problem, config)
     return GameEntry(value=weight_of(system, s) * res.midpoint,
                      converged=res.converged and system.converged)
 
@@ -193,7 +194,7 @@ def full_game(players, system: WeightSystem,
             structure=structure,
             weights=_structure_weights(structure, system),
             table=master.restrict(structure))
-        return solve_value(problem, config)
+        return cutting_plane_value(problem, config)
 
     keys = sorted(structures)
     if jobs > 1:

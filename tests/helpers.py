@@ -2,14 +2,16 @@
 
 Everything here deliberately avoids the library's own solution paths: brute
 force enumerates assignments, the hull bound solves the linear system
-directly, golden-section is a scalar convex minimizer, and Shapley values are
-averaged over explicit player orderings.
+directly, golden-section is a scalar convex minimizer, the cell LP solves the
+maxmin problem over fractional cell assignments in one linear program, and
+Shapley values are averaged over explicit player orderings.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 
 from fairdiv import DensitySpec, Grid, weighted_problem
 
@@ -106,6 +108,29 @@ def golden_section_min(fun, lo: float, hi: float, iters: int = 200):
             fd = fun(d)
     x = 0.5 * (a + b)
     return x, fun(x)
+
+
+def cell_lp_value(problem) -> float:
+    """Maxmin value as one LP over fractional cell assignments x[j, k] >= 0:
+    maximize t subject to sum_k v[j, k] x[j, k] >= t for every coalition j
+    and sum_j x[j, k] = 1 for every cell k.  Meant for small grids."""
+    v = problem.cell_values
+    m, K = v.shape
+    n = m * K  # x in row-major (j, k) order, then t
+    cost = np.zeros(n + 1)
+    cost[n] = -1.0
+    a_ub = np.zeros((m, n + 1))
+    a_ub[:, n] = 1.0
+    a_eq = np.zeros((K, n + 1))
+    for j in range(m):
+        a_ub[j, j * K:(j + 1) * K] = -v[j]
+        a_eq[:, j * K:(j + 1) * K] = np.eye(K)
+    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(m), A_eq=a_eq,
+                  b_eq=np.ones(K), bounds=[(0.0, None)] * n + [(None, None)],
+                  method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"cell LP failed: {res.message}")
+    return float(res.x[n])
 
 
 def shapley_by_permutations(eta, n: int) -> np.ndarray:

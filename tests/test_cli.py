@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
+
+import fairdiv
 
 from fairdiv.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PARSE, EXIT_UNCONVERGED,
                          fmt_num, main)
@@ -253,3 +259,73 @@ def test_problem_file_weights_list(tmp_path, capsys):
     lo, hi = (float(tok) for tok in out.strip("[]").split(","))
     assert lo == pytest.approx(0.5, abs=1e-12)
     assert 0.0 <= hi - lo < 1e-3
+
+
+@pytest.fixture()
+def beta_uniform_file(tmp_path):
+    path = tmp_path / "beta_uniform.json"
+    path.write_text(json.dumps({
+        "players": [{"density": {"kind": "beta", "a": 2, "b": 5}},
+                    {"density": {"kind": "uniform"}}],
+        "grid_cells": 64,
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["game", "shapley"])
+@pytest.mark.parametrize("flag", [["--step-scale", "0.3"], ["--clip-k", "5"]])
+def test_step_flags_rejected_for_game_commands(disjoint_file, capsys,
+                                               command, flag):
+    rc = main(["--problem", disjoint_file, "--command", command,
+               "--weights", "card"] + flag)
+    assert rc == EXIT_CONFIG
+    assert (f"{flag[0]} applies only to solve, partition and trace"
+            in capsys.readouterr().err)
+
+
+def test_max_iter_caps_pre_division_solve(beta_uniform_file, capsys):
+    start = time.perf_counter()
+    rc = main(["--problem", beta_uniform_file, "--command", "game",
+               "--weights", "pre", "--max-iter", "5"])
+    elapsed = time.perf_counter() - start
+    assert rc == EXIT_UNCONVERGED
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "coalition,eta_pre,converged"
+    assert len(lines) == 4
+    assert all(line.endswith(",false") for line in lines[1:])
+    # uncapped, the 32768-cell pre-solve runs to its 50,000-iteration limit
+    assert elapsed < 5.0
+
+
+def test_library_value_error_exits_4(tmp_path, capsys):
+    # a spike on [0, 1e-4] misses every midpoint of the 4096-cell grid, so
+    # the solver sees a coalition with no value on the whole cake
+    path = tmp_path / "spike.json"
+    path.write_text(json.dumps({
+        "players": [
+            {"density": {"kind": "piecewise", "breakpoints": [0, 1e-4, 1],
+                         "values": [1, 0]}},
+            {"density": {"kind": "uniform"}},
+        ],
+        "grid_cells": 4096,
+    }))
+    rc = main(["--problem", str(path), "--command", "solve"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("fairdiv: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_python_m_fairdiv():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fairdiv.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fairdiv", "--problem", BUNDLED_PROBLEM,
+         "--command", "solve"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    lo, hi = (float(tok) for tok in proc.stdout.strip().strip("[]").split(","))
+    assert lo <= hi
