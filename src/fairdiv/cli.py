@@ -1,8 +1,8 @@
 """Command-line front end: problem ingestion, solves, table and trace output.
 
-Exit codes: 0 success, 2 problem-file parse error, 3 solver did not converge
-(partial outputs are still written, flagged), 4 invalid configuration or a
-problem the library rejects.
+Exit codes: 0 success, 2 problem-file parse error, 3 solver or pre-division
+weights did not converge (partial outputs are still written, flagged), 4
+invalid configuration or a problem the library rejects.
 
 Game values (``game``, ``shapley``) come from the cutting-plane solver, which
 has no step rule; ``--step-scale`` and ``--clip-k`` tune the projected
@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 
 from .coalitions import (PRE_SOLVE_EPSILON, GameTable, WeightSystem,
                          cardinality_weights, full_game, game_value,
-                         pre_division_weights, shapley)
+                         pre_division_weights, shapley, weight_of)
 from .measures import Grid
-from .partition import weighted_problem
+from .partition import WeightedProblem, weighted_problem
 from .problemfile import Problem, ProblemFormatError, load_problem
 from .subgradient import SolverConfig, StepRule, solve_partition, solve_value
 
@@ -111,8 +111,7 @@ def _parse_structure(text: str | None, n: int) -> tuple[tuple[int, ...], ...]:
     return structure
 
 
-def _solver_config(spec: RunSpec, problem: Problem,
-                   for_game: bool = False) -> SolverConfig:
+def _solver_config(spec: RunSpec, for_game: bool = False) -> SolverConfig:
     if for_game:
         for flag, value in (("--step-scale", spec.step_scale),
                             ("--clip-k", spec.clip_k)):
@@ -144,21 +143,42 @@ def _grid(spec: RunSpec, problem: Problem) -> Grid:
     return Grid(cells)
 
 
-def _structure_weights(spec: RunSpec, problem: Problem, structure):
-    """Weights for a user-specified structure: CLI flag beats problem file,
-    default is all ones."""
+def _weight_system(spec: RunSpec, problem: Problem, name: str) -> WeightSystem:
+    """The ``card`` or ``pre`` weight system; ``--max-iter`` caps the
+    competitive pre-solve behind pre-division weights too."""
+    if name == "card":
+        return cardinality_weights()
+    if spec.max_iter is None:
+        return pre_division_weights(problem.densities)
+    try:
+        config = SolverConfig(epsilon=PRE_SOLVE_EPSILON,
+                              max_iterations=spec.max_iter)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    return pre_division_weights(problem.densities, config=config)
+
+
+def _structure_problem(spec: RunSpec, problem: Problem
+                       ) -> tuple[WeightedProblem, bool]:
+    """The weighted problem behind solve, partition and trace, and whether
+    its weights converged; ``--weights`` beats the file, default all ones."""
+    grid = _grid(spec, problem)
+    structure = _parse_structure(spec.coalitions, problem.n)
     choice = spec.weights or (problem.weights
                               if isinstance(problem.weights, str) else None)
-    if choice == "card":
-        return tuple(float(len(s)) for s in structure)
-    if choice == "pre":
-        system = _pre_weights(spec, problem)
-        return tuple(system.values[frozenset(s)] for s in structure)
-    if isinstance(problem.weights, tuple) and spec.weights is None:
+    converged = True
+    if choice is not None:
+        system = _weight_system(spec, problem, choice)
+        weights = tuple(weight_of(system, s) for s in structure)
+        converged = system.converged
+    elif problem.weights is not None:
         if len(problem.weights) != len(structure):
             raise ConfigError("problem-file weights do not match the structure")
-        return problem.weights
-    return (1.0,) * len(structure)
+        weights = problem.weights
+    else:
+        weights = (1.0,) * len(structure)
+    return (weighted_problem(problem.densities, structure, weights, grid),
+            converged)
 
 
 def fmt_num(x: float) -> str:
@@ -189,66 +209,41 @@ def _emit(spec: RunSpec, text: str) -> None:
 
 
 def _cmd_solve(spec: RunSpec, problem: Problem) -> int:
-    grid = _grid(spec, problem)
-    structure = _parse_structure(spec.coalitions, problem.n)
-    weights = _structure_weights(spec, problem, structure)
-    wp = weighted_problem(problem.densities, structure, weights, grid)
-    res = solve_value(wp, _solver_config(spec, problem))
+    wp, weights_converged = _structure_problem(spec, problem)
+    res = solve_value(wp, _solver_config(spec))
     print(f"[{fmt_num(res.lower)}, {fmt_num(res.upper)}]")
-    return EXIT_OK if res.converged else EXIT_UNCONVERGED
+    return EXIT_OK if res.converged and weights_converged else EXIT_UNCONVERGED
 
 
 def _cmd_partition(spec: RunSpec, problem: Problem) -> int:
-    grid = _grid(spec, problem)
-    structure = _parse_structure(spec.coalitions, problem.n)
-    weights = _structure_weights(spec, problem, structure)
-    wp = weighted_problem(problem.densities, structure, weights, grid)
-    res = solve_partition(wp, _solver_config(spec, problem))
+    wp, weights_converged = _structure_problem(spec, problem)
+    res = solve_partition(wp, _solver_config(spec))
     alloc = res.allocation
     if spec.out_format == "json":
         labeled = {
-            _coalition_label(structure[j]): [[a, b] for a, b in spans]
+            _coalition_label(wp.structure[j]): [[a, b] for a, b in spans]
             for j, spans in sorted(alloc.intervals().items())
         }
         _emit(spec, json.dumps(labeled, indent=2, sort_keys=True) + "\n")
     else:
         buf = io.StringIO()
         buf.write("cell_index,x_left,x_right,coalition\n")
-        edges = grid.edges
+        edges = wp.grid.edges
         for k, j in enumerate(alloc.assignment):
             buf.write(f"{k},{fmt_num(edges[k])},{fmt_num(edges[k + 1])},"
-                      f"{_coalition_label(structure[int(j)])}\n")
+                      f"{_coalition_label(wp.structure[int(j)])}\n")
         _emit(spec, buf.getvalue())
-    return EXIT_OK if res.converged else EXIT_UNCONVERGED
-
-
-def _pre_weights(spec: RunSpec, problem: Problem) -> WeightSystem:
-    """Pre-division weights; ``--max-iter`` caps the competitive pre-solve
-    too."""
-    if spec.max_iter is None:
-        return pre_division_weights(problem.densities)
-    try:
-        config = SolverConfig(epsilon=PRE_SOLVE_EPSILON,
-                              max_iterations=spec.max_iter)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-    return pre_division_weights(problem.densities, config=config)
+    return EXIT_OK if res.converged and weights_converged else EXIT_UNCONVERGED
 
 
 def _systems(spec: RunSpec, problem: Problem) -> dict:
     names = [spec.weights] if spec.weights else ["card", "pre"]
-    out = {}
-    for name in names:
-        if name == "card":
-            out["card"] = cardinality_weights()
-        else:
-            out["pre"] = _pre_weights(spec, problem)
-    return out
+    return {name: _weight_system(spec, problem, name) for name in names}
 
 
 def _game_tables(spec: RunSpec, problem: Problem) -> dict[str, GameTable]:
     grid = _grid(spec, problem)
-    config = _solver_config(spec, problem, for_game=True)
+    config = _solver_config(spec, for_game=True)
     return {name: full_game(problem.densities, system, config=config,
                             grid=grid, jobs=spec.jobs)
             for name, system in _systems(spec, problem).items()}
@@ -286,7 +281,7 @@ def _cmd_game(spec: RunSpec, problem: Problem) -> int:
     if spec.subset is not None:
         s = _parse_players(spec.subset, n)
         grid = _grid(spec, problem)
-        config = _solver_config(spec, problem, for_game=True)
+        config = _solver_config(spec, for_game=True)
         systems = _systems(spec, problem)
         entries = {name: game_value(problem.densities, s, system,
                                     config=config, grid=grid)
@@ -329,14 +324,10 @@ def _cmd_shapley(spec: RunSpec, problem: Problem) -> int:
 
 
 def _cmd_trace(spec: RunSpec, problem: Problem) -> int:
-    grid = _grid(spec, problem)
-    structure = _parse_structure(spec.coalitions, problem.n)
-    weights = _structure_weights(spec, problem, structure)
-    wp = weighted_problem(problem.densities, structure, weights, grid)
-    config = replace(_solver_config(spec, problem), record_trace=True)
-    res = solve_value(wp, config)
+    wp, weights_converged = _structure_problem(spec, problem)
+    res = solve_value(wp, replace(_solver_config(spec), record_trace=True))
     _emit(spec, res.trace.to_csv_string())
-    return EXIT_OK if res.converged else EXIT_UNCONVERGED
+    return EXIT_OK if res.converged and weights_converged else EXIT_UNCONVERGED
 
 
 _DISPATCH = {

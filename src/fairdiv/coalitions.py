@@ -145,8 +145,18 @@ class GameTable:
         return all(e.converged for e in self.entries.values())
 
 
-def _structure_weights(structure, system: WeightSystem) -> tuple[float, ...]:
-    return tuple(weight_of(system, unit) for unit in structure)
+def _structure_problem(structure, system: WeightSystem,
+                       table) -> WeightedProblem:
+    """The weighted problem of one structure, on rows of a measure table."""
+    return WeightedProblem(
+        structure=structure,
+        weights=tuple(weight_of(system, unit) for unit in structure),
+        table=table.restrict(structure))
+
+
+def _entry(system: WeightSystem, coalition, res) -> GameEntry:
+    return GameEntry(value=weight_of(system, coalition) * res.midpoint,
+                     converged=res.converged and system.converged)
 
 
 def game_value(players, coalition, system: WeightSystem,
@@ -162,12 +172,9 @@ def game_value(players, coalition, system: WeightSystem,
     structure = versus_singletons(s, n)
     if table is None:
         table = coalition_table(players, structure, grid)
-    problem = WeightedProblem(structure=structure,
-                              weights=_structure_weights(structure, system),
-                              table=table.restrict(structure))
-    res = cutting_plane_value(problem, config)
-    return GameEntry(value=weight_of(system, s) * res.midpoint,
-                     converged=res.converged and system.converged)
+    res = cutting_plane_value(_structure_problem(structure, system, table),
+                              config)
+    return _entry(system, s, res)
 
 
 def full_game(players, system: WeightSystem,
@@ -190,11 +197,8 @@ def full_game(players, system: WeightSystem,
         structures.setdefault(versus_singletons(s, n), []).append(s)
 
     def solve_one(structure):
-        problem = WeightedProblem(
-            structure=structure,
-            weights=_structure_weights(structure, system),
-            table=master.restrict(structure))
-        return cutting_plane_value(problem, config)
+        return cutting_plane_value(
+            _structure_problem(structure, system, master), config)
 
     keys = sorted(structures)
     if jobs > 1:
@@ -203,13 +207,9 @@ def full_game(players, system: WeightSystem,
     else:
         results = {k: solve_one(k) for k in keys}
 
-    entries = {}
-    for structure, members in structures.items():
-        res = results[structure]
-        for s in members:
-            entries[frozenset(s)] = GameEntry(
-                value=weight_of(system, s) * res.midpoint,
-                converged=res.converged and system.converged)
+    entries = {frozenset(s): _entry(system, s, results[structure])
+               for structure, members in structures.items()
+               for s in members}
     return GameTable(players=n, system=system, entries=entries)
 
 

@@ -46,6 +46,7 @@ class DensitySpec:
         vals = np.asarray(values, dtype=float)
         if len(bp) < 2 or len(vals) != len(bp) - 1:
             raise ValueError("need k+1 breakpoints for k values")
+        _require_finite(bp, vals)
         widths = np.diff(bp)
         total = float(np.dot(vals, widths))
         if total <= 0:
@@ -59,11 +60,13 @@ class DensitySpec:
         if self.kind == "uniform":
             pass
         elif self.kind == "beta":
-            if self.a is None or self.b is None or self.a <= 0 or self.b <= 0:
-                raise ValueError("beta parameters must be positive")
+            ab = np.array([self.a, self.b], dtype=float)  # None reads as NaN
+            if not np.all(np.isfinite(ab) & (ab > 0)):
+                raise ValueError("beta parameters must be finite and positive")
         elif self.kind == "piecewise":
             bp = np.asarray(self.breakpoints, dtype=float)
             vals = np.asarray(self.values, dtype=float)
+            _require_finite(bp, vals)
             if bp[0] != 0.0 or bp[-1] != 1.0:
                 raise ValueError("breakpoints must start at 0 and end at 1")
             if np.any(np.diff(bp) <= 0):
@@ -75,6 +78,11 @@ class DensitySpec:
                                  "(use DensitySpec.piecewise to normalize)")
         else:
             raise ValueError(f"unknown density kind {self.kind!r}")
+
+
+def _require_finite(breakpoints, values) -> None:
+    if not (np.all(np.isfinite(breakpoints)) and np.all(np.isfinite(values))):
+        raise ValueError("breakpoints and values must be finite")
 
 
 def density_eval(spec: DensitySpec, x):
@@ -148,17 +156,16 @@ def cell_masses(spec: DensitySpec, grid: Grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeasureTable:
-    """Per-cell masses and midpoint densities for a set of coalitions.
+    """Exact per-cell masses for a set of coalitions.
 
     Rows are aligned with ``coalitions``; each coalition is a sorted tuple of
-    0-based player indices.  Densities are midpoint values of the coalition
-    density max over members; masses integrate that max over each cell.
+    0-based player indices.  Each mass integrates the coalition density, the
+    max over members, over one cell.
     """
 
     grid: Grid
     coalitions: tuple[tuple[int, ...], ...]
     masses: np.ndarray
-    densities: np.ndarray
 
     @cached_property
     def _index(self) -> dict[tuple[int, ...], int]:
@@ -186,22 +193,20 @@ class MeasureTable:
             grid=self.grid,
             coalitions=tuple(tuple(sorted(c)) for c in coalitions),
             masses=self.masses[rows],
-            densities=self.densities[rows],
         )
 
 
 def _coalition_row(specs, members, mids_f, edges_f, player_masses, grid):
-    """Masses and densities for one coalition.
+    """Exact cell masses for one coalition.
 
     Within a cell the coalition density equals the density of whichever
-    member dominates there, so the cell mass is that member's exact mass.
-    Cells where the dominating member changes between the two edges are split
-    at the crossing point.
+    member dominates at the midpoint, so the cell mass is that member's
+    exact mass.  Cells where the dominating member changes between the two
+    edges are split at the crossing point.
     """
     members = list(members)
     sub_mid = mids_f[members]
     sub_edge = edges_f[members]
-    dens = sub_mid.max(axis=0)
 
     arg_mid = sub_mid.argmax(axis=0)
     arg_left = sub_edge[:, :-1].argmax(axis=0)
@@ -219,7 +224,7 @@ def _coalition_row(specs, members, mids_f, edges_f, player_masses, grid):
 
     # the exact coalition mass dominates each member's; clamp rounding noise
     masses = np.maximum(masses, player_masses[members].max(axis=0))
-    return masses, dens
+    return masses
 
 
 def _crossing_point(spec_a, spec_b, xl, xr) -> float:
@@ -259,10 +264,8 @@ def coalition_table(players, subsets, grid: Grid) -> MeasureTable:
     player_masses = np.vstack([cell_masses(p, grid) for p in players])
 
     masses = np.empty((len(subsets), grid.cell_count))
-    dens = np.empty_like(masses)
     for i, s in enumerate(subsets):
-        masses[i], dens[i] = _coalition_row(
+        masses[i] = _coalition_row(
             players, s, mids_f, edges_f, player_masses, grid)
 
-    return MeasureTable(grid=grid, coalitions=tuple(subsets),
-                        masses=masses, densities=dens)
+    return MeasureTable(grid=grid, coalitions=tuple(subsets), masses=masses)

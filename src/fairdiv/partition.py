@@ -1,10 +1,10 @@
 """Weighted maxsum partitions of the gridded cake.
 
 For coefficients alpha on the unit simplex, assigning every cell to a
-coalition maximizing alpha_j * f_j^w at the cell midpoint solves the maxsum
-problem max sum_j alpha_j * mu_j^w(B_j) over partitions.  The resulting value
-vector u is both a point on the Pareto border of the partition range and a
-subgradient of g(alpha) = integral of max_j alpha_j f_j^w.
+coalition maximizing alpha_j mu_j^w(cell), where mu_j^w is the exact cell
+mass over w_j, solves the maxsum problem max sum_j alpha_j mu_j^w(B_j).  The
+value vector u is both a point on the Pareto border of the partition range
+and a subgradient of g(alpha) = sum over cells of max_j alpha_j mu_j^w(cell).
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ class WeightedProblem:
     """A coalition structure with weights over a shared measure table.
 
     ``structure`` lists m pairwise-disjoint coalitions (sorted tuples of
-    0-based player ids); ``table`` rows are aligned with it.  The solver-side
-    discretization uses midpoint densities throughout, so the per-cell values
-    and the totals below are exactly consistent with g evaluations.
+    0-based player ids); ``table`` rows are aligned with it.  Cell values
+    are the table's exact masses over the weights, and the totals below sum
+    them, so both are exactly consistent with g evaluations.
     """
 
     structure: tuple[tuple[int, ...], ...]
@@ -58,19 +58,14 @@ class WeightedProblem:
         return self.table.grid
 
     @cached_property
-    def weighted_densities(self) -> np.ndarray:
-        """f_j^w at cell midpoints, shape (m, cells)."""
-        w = np.asarray(self.weights, dtype=float)
-        return self.table.densities / w[:, None]
-
-    @cached_property
     def cell_values(self) -> np.ndarray:
-        """Weighted mass of each cell for each coalition (midpoint rule)."""
-        return self.weighted_densities * self.grid.width
+        """Exact weighted mass mu_j(cell) / w_j, shape (m, cells)."""
+        w = np.asarray(self.weights, dtype=float)
+        return self.table.masses / w[:, None]
 
     @cached_property
     def totals(self) -> np.ndarray:
-        """mu_j^w of the whole cake, in the solver discretization."""
+        """mu_j^w of the whole cake, summed over the cell values."""
         return self.cell_values.sum(axis=1)
 
 
@@ -133,7 +128,7 @@ def _check_alpha(alpha, m: int) -> np.ndarray:
 
 
 def maxsum_partition(problem: WeightedProblem, alpha) -> PvvResult:
-    """Cell-wise argmax partition for alpha; ties go to the lowest index."""
+    """Cell-wise argmax of alpha_j mu_j^w(cell); lowest index wins ties."""
     alpha = _check_alpha(alpha, problem.m)
     scores = alpha[:, None] * problem.cell_values
     assignment = scores.argmax(axis=0)
@@ -148,5 +143,5 @@ def maxsum_partition(problem: WeightedProblem, alpha) -> PvvResult:
 
 
 def g_eval(problem: WeightedProblem, alpha) -> float:
-    """g(alpha) = integral of max_j alpha_j f_j^w; convex in alpha."""
+    """g(alpha) = sum over cells of max_j alpha_j mu_j^w(cell); convex."""
     return maxsum_partition(problem, alpha).g_value

@@ -12,6 +12,7 @@ Schema (see docs/problem-format.md):
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .measures import DensitySpec
@@ -55,7 +56,7 @@ def _density_from_json(obj, where: str) -> DensitySpec:
             return DensitySpec.piecewise(obj["breakpoints"], obj["values"])
     except KeyError as e:
         raise ProblemFormatError(f"{where}: missing density field {e}") from None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ProblemFormatError(f"{where}: {e}") from None
     raise ProblemFormatError(f"{where}: unknown density kind {kind!r}")
 
@@ -94,8 +95,10 @@ def problem_from_json(doc) -> Problem:
             if weights not in ("card", "pre"):
                 raise ProblemFormatError("'weights' string must be 'card' or 'pre'")
         elif isinstance(weights, list):
-            if any(not isinstance(w, (int, float)) or w <= 0 for w in weights):
-                raise ProblemFormatError("'weights' entries must be positive numbers")
+            if any(not isinstance(w, (int, float))
+                   or not 0 < w <= sys.float_info.max for w in weights):
+                raise ProblemFormatError(
+                    "'weights' entries must be finite positive numbers")
             weights = tuple(float(w) for w in weights)
         else:
             raise ProblemFormatError("'weights' must be a list or 'card'/'pre'")

@@ -283,6 +283,26 @@ def test_step_flags_rejected_for_game_commands(disjoint_file, capsys,
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command", ["solve", "partition", "trace"])
+@pytest.mark.parametrize("in_file", [False, True])
+def test_unconverged_pre_division_weights_exit_3(beta_uniform_file, capsys,
+                                                 command, in_file):
+    # the 5-iteration pre-solve cannot reach its equitability target, while
+    # the loose epsilon lets the structure solve itself converge
+    argv = ["--problem", beta_uniform_file, "--command", command,
+            "--max-iter", "5", "--epsilon", "0.5"]
+    if in_file:
+        with open(beta_uniform_file) as f:
+            doc = json.load(f)
+        doc["weights"] = "pre"
+        with open(beta_uniform_file, "w") as f:
+            json.dump(doc, f)
+    else:
+        argv += ["--weights", "pre"]
+    assert main(argv) == EXIT_UNCONVERGED
+    assert capsys.readouterr().out
+
+
 def test_max_iter_caps_pre_division_solve(beta_uniform_file, capsys):
     start = time.perf_counter()
     rc = main(["--problem", beta_uniform_file, "--command", "game",
@@ -297,9 +317,10 @@ def test_max_iter_caps_pre_division_solve(beta_uniform_file, capsys):
     assert elapsed < 5.0
 
 
-def test_library_value_error_exits_4(tmp_path, capsys):
-    # a spike on [0, 1e-4] misses every midpoint of the 4096-cell grid, so
-    # the solver sees a coalition with no value on the whole cake
+@pytest.fixture()
+def spike_file(tmp_path):
+    # the spike on [0, 1e-4] lies inside the first of 4096 cells and misses
+    # every cell midpoint
     path = tmp_path / "spike.json"
     path.write_text(json.dumps({
         "players": [
@@ -309,7 +330,23 @@ def test_library_value_error_exits_4(tmp_path, capsys):
         ],
         "grid_cells": 4096,
     }))
-    rc = main(["--problem", str(path), "--command", "solve"])
+    return str(path)
+
+
+def test_sub_cell_spike_solves(spike_file, capsys):
+    rc = main(["--problem", spike_file, "--command", "solve"])
+    assert rc == EXIT_OK
+    lo, hi = (float(tok) for tok in
+              capsys.readouterr().out.strip().strip("[]").split(","))
+    assert 0.9997 <= lo <= hi <= 0.9999
+
+
+def test_library_value_error_exits_4(one_player_file, capsys, monkeypatch):
+    def rejects(problem, config):
+        raise ValueError("whole-cake coalition values must be positive")
+
+    monkeypatch.setattr("fairdiv.cli.solve_value", rejects)
+    rc = main(["--problem", one_player_file, "--command", "solve"])
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("fairdiv: ")

@@ -118,13 +118,6 @@ def test_identical_players_coalition_row(five_players):
     np.testing.assert_array_equal(table.masses[0], table.masses[1])
 
 
-def test_coalition_density_dominates_members(five_players, table_4096):
-    grid = table_4096.grid
-    mids = np.vstack([density_eval(p, grid.midpoints) for p in five_players])
-    for i, s in enumerate(table_4096.coalitions):
-        assert np.all(table_4096.densities[i] >= mids[list(s)].max(axis=0))
-
-
 def test_coalition_mass_superadditive(five_players, table_4096):
     grid = table_4096.grid
     player_masses = np.vstack([cell_masses(p, grid) for p in five_players])

@@ -58,6 +58,28 @@ def test_malformed_json_reports_line(tmp_path):
     ('{"players": [{"density": {"kind": "uniform"}}], "weights": [0]}',
      "weights"),
     ('[1, 2]', "object"),
+    # Python's json reads NaN and Infinity; the schema rejects them
+    ('{"players": [{"density": {"kind": "beta", "a": NaN, "b": 2}}]}',
+     "finite"),
+    ('{"players": [{"density": {"kind": "beta", "a": Infinity, "b": 2}}]}',
+     "finite"),
+    ('{"players": [{"density": {"kind": "beta", "a": 2, "b": -Infinity}}]}',
+     "finite"),
+    ('{"players": [{"density": {"kind": "piecewise", "breakpoints": [0, 0.5, 1],'
+     ' "values": [NaN, 1]}}]}', "finite"),
+    ('{"players": [{"density": {"kind": "piecewise", "breakpoints": [0, 0.5, 1],'
+     ' "values": [Infinity, 1]}}]}', "finite"),
+    ('{"players": [{"density": {"kind": "piecewise", "breakpoints": [0, NaN, 1],'
+     ' "values": [1, 1]}}]}', "finite"),
+    ('{"players": [{"density": {"kind": "uniform"}},'
+     ' {"density": {"kind": "uniform"}}], "weights": [NaN, 1]}', "finite"),
+    ('{"players": [{"density": {"kind": "uniform"}}], "weights": [Infinity]}',
+     "finite"),
+    # an integer literal beyond the float range is as good as infinite
+    ('{"players": [{"density": {"kind": "beta", "a": 1%s, "b": 2}}]}'
+     % ("0" * 400), "too large"),
+    ('{"players": [{"density": {"kind": "uniform"}}], "weights": [1%s]}'
+     % ("0" * 400), "finite"),
 ])
 def test_schema_violations(tmp_path, doc, message):
     path = tmp_path / "bad.json"
