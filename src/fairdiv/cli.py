@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 problem-file parse error, 3 solver or pre-division
 weights did not converge (partial outputs are still written, flagged), 4
-invalid configuration or a problem the library rejects.
+invalid configuration or a problem the library rejects, 5 internal error (a
+library ``RuntimeError``: a bug, not a property of the problem).
 
 Game values (``game``, ``shapley``) come from the cutting-plane solver, which
 has no step rule; ``--step-scale`` and ``--clip-k`` tune the projected
@@ -23,13 +24,15 @@ from .coalitions import (PRE_SOLVE_EPSILON, GameTable, WeightSystem,
                          pre_division_weights, shapley, weight_of)
 from .measures import Grid
 from .partition import WeightedProblem, weighted_problem
-from .problemfile import Problem, ProblemFormatError, load_problem
+from .problemfile import (MAX_GRID_CELLS, Problem, ProblemFormatError,
+                          load_problem)
 from .subgradient import SolverConfig, StepRule, solve_partition, solve_value
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_UNCONVERGED = 3
 EXIT_CONFIG = 4
+EXIT_INTERNAL = 5
 
 COMMANDS = ("solve", "partition", "game", "shapley", "trace")
 
@@ -138,8 +141,8 @@ def _solver_config(spec: RunSpec, for_game: bool = False) -> SolverConfig:
 
 def _grid(spec: RunSpec, problem: Problem) -> Grid:
     cells = spec.grid_cells if spec.grid_cells is not None else problem.grid_cells
-    if cells < 1:
-        raise ConfigError("grid cells must be positive")
+    if not 1 <= cells <= MAX_GRID_CELLS:
+        raise ConfigError(f"grid cells must be in 1..{MAX_GRID_CELLS}")
     return Grid(cells)
 
 
@@ -357,8 +360,8 @@ def run(spec: RunSpec) -> int:
         print(f"fairdiv: cannot solve this problem: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except RuntimeError as e:
-        print(f"fairdiv: {e}", file=sys.stderr)
-        return EXIT_UNCONVERGED
+        print(f"fairdiv: internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main(argv=None) -> int:

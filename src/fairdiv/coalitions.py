@@ -84,6 +84,8 @@ def pre_division_weights(players, config: SolverConfig | None = None,
     members' pieces.  If the pre-solve cannot close the equitability gap
     (flat density ties can make the exact optimum unreachable on a grid),
     the best-spread partition is used and the system is flagged unconverged.
+    Raises ``ValueError`` if that partition leaves some coalition a worthless
+    piece, as it does for two identical players, who tie on every cell.
     """
     n = len(players)
     if config is None:
@@ -103,7 +105,7 @@ def pre_division_weights(players, config: SolverConfig | None = None,
         piece = np.isin(assign, s)
         values[frozenset(s)] = float(full.mass_row(s)[piece].sum())
     if min(values.values()) <= 0.0:
-        raise RuntimeError(
+        raise ValueError(
             "competitive pre-solve left a coalition with a worthless piece; "
             "pre-division weights are undefined for this instance")
     return WeightSystem(kind=PRE_DIVISION, values=values,

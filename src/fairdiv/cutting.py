@@ -2,53 +2,97 @@
 
 Every maxsum value vector u is an achievable point of the convex utility
 range, and so is every axis point totals_q e_q (all of the cake to
-coalition q).  The columns held so far define the master LP
+coalition q).  The columns held so far, the rows c of C, define the master LP
 
     min z  s.t.  <c, alpha> <= z  for every column c,  sum alpha = 1,
                  alpha >= 0,
 
 whose solution alpha is where the cutting-plane model of g is lowest: the
-next point to query.  Its inequality duals weight the columns; the weighted
-combination is itself achievable, so its smallest coordinate is a certified
-lower bound.  The bound is computed from the columns in numpy rather than
-read off the LP objective, so the LP solver's tolerances never enter a
-certified number.  The upper bound is the smallest g seen.
+next point to query.  Its inequality duals lambda weight the columns; the
+weighted combination is itself achievable, so its smallest coordinate is a
+certified lower bound.  The bound is computed from the columns in numpy
+rather than read off the LP objective: any lambda on the simplex gives a
+valid bound, so the LP's rounding never enters a certified number.  The upper
+bound is the smallest g seen.
+
+The master LP is small (one row per held column, one column per coalition)
+and is solved exactly by a dense simplex in ``_master_lp``.
 
 Unlike the projected subgradient method, nothing here is tuned: there is no
-step rule.  Each oracle call costs one small LP on top.
+step rule.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .bounds import lower_bound
 from .partition import WeightedProblem, maxsum_partition
 from .subgradient import (_EXACT_STOP_TOL, SolveResult, SolverConfig,
                           _initial_alpha)
 
+#: reduced costs, pivots and ratio ties below this count as zero; the
+#: tableau is scaled so its largest column entry is 1
+_PIVOT_TOL = 1e-12
+
 
 def _master_lp(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the master LP over the held columns, shape (n, m).
+    """Solve the master LP over the held columns C, shape (n, m).
 
-    Returns the simplex point alpha (clipped at 0, renormalized) and the
-    column weights lambda from the inequality duals (same treatment).
+    Every column is nonnegative and the axis rows make the master value v
+    positive, so with y = alpha / v the master LP is
+
+        max 1'y  s.t.  C y <= 1,  y >= 0,
+
+    whose slack basis is feasible: no phase I.  A condensed simplex tableau
+    with Bland's rule (smallest index enters and leaves, so it terminates)
+    solves it.  The dual, min 1'mu s.t. C'mu >= 1, mu >= 0, has mu_i = the
+    reduced cost of slack i in the final objective row; lambda = mu / sum mu
+    weights the columns so that min(lambda C) = v = max(C alpha).
+
+    Returns alpha = y / sum y and lambda, both on the simplex.  Raises
+    ``RuntimeError`` if the pivot cap is reached.
     """
     n, m = columns.shape
-    cost = np.zeros(m + 1)
-    cost[m] = 1.0
-    a_ub = np.hstack([columns, -np.ones((n, 1))])
-    a_eq = np.ones((1, m + 1))
-    a_eq[0, m] = 0.0
-    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(n), A_eq=a_eq,
-                  b_eq=np.ones(1), bounds=[(0.0, None)] * m + [(None, None)],
-                  method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"master LP failed: {res.message}")
-    alpha = np.maximum(res.x[:m], 0.0)
-    lam = np.maximum(-res.ineqlin.marginals, 0.0)
-    return alpha / alpha.sum(), lam / lam.sum()
+    # rows 0..n-1: basic variable = rhs - sum_k t[i, k] * nonbasic_k;
+    # row n: -(reduced costs) and the objective value 1'y
+    t = np.empty((n + 1, m + 1))
+    t[:n, :m] = columns / columns.max()
+    t[:n, m] = 1.0
+    t[n, :m] = -1.0
+    t[n, m] = 0.0
+    # variables 0..m-1 are y, m..m+n-1 the slacks
+    col_var = np.arange(m)
+    row_var = np.arange(m, m + n)
+    max_pivots = 20 * (n + m)
+    for _ in range(max_pivots):
+        enter = np.flatnonzero(t[n, :m] < -_PIVOT_TOL)
+        if enter.size == 0:
+            break
+        c = enter[np.argmin(col_var[enter])]
+        rows = np.flatnonzero(t[:n, c] > _PIVOT_TOL)
+        if rows.size == 0:  # the axis rows bound y; only rounding gets here
+            raise RuntimeError("master LP lost its bounding axis rows")
+        ratio = np.maximum(t[rows, m], 0.0) / t[rows, c]
+        ties = rows[ratio <= ratio.min() + _PIVOT_TOL]
+        r = ties[np.argmin(row_var[ties])]
+        p = t[r, c]
+        pivot_row = t[r] / p
+        col = t[:, c].copy()
+        t -= np.outer(col, pivot_row)
+        t[r] = pivot_row
+        t[:, c] = -col / p
+        t[r, c] = 1.0 / p
+        col_var[c], row_var[r] = row_var[r], col_var[c]
+    else:
+        raise RuntimeError(f"master LP did not reach an optimum within "
+                           f"{max_pivots} pivots")
+    primal = np.zeros(m + n)
+    primal[row_var] = np.maximum(t[:n, m], 0.0)
+    dual = np.zeros(m + n)
+    dual[col_var] = np.maximum(t[n, :m], 0.0)
+    y, mu = primal[:m], dual[m:]
+    return y / y.sum(), mu / mu.sum()
 
 
 def cutting_plane_value(problem: WeightedProblem,

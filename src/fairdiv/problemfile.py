@@ -17,6 +17,10 @@ from dataclasses import dataclass
 
 from .measures import DensitySpec
 
+#: the finest grid a problem file (or ``--grid``) may ask for; one 5-player
+#: measure table at this size already takes some 250 MB
+MAX_GRID_CELLS = 2 ** 20
+
 
 class ProblemFormatError(ValueError):
     """Problem file does not parse or violates the schema."""
@@ -89,6 +93,9 @@ def problem_from_json(doc) -> Problem:
     grid_cells = doc.get("grid_cells", 4096)
     if not isinstance(grid_cells, int) or grid_cells < 1:
         raise ProblemFormatError("'grid_cells' must be a positive integer")
+    if grid_cells > MAX_GRID_CELLS:
+        raise ProblemFormatError(
+            f"'grid_cells' must be at most {MAX_GRID_CELLS}")
     weights = doc.get("weights")
     if weights is not None:
         if isinstance(weights, str):

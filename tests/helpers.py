@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own solution paths: brute
 force enumerates assignments, the hull bound solves the linear system
 directly, golden-section is a scalar convex minimizer, the cell LP solves the
-maxmin problem over fractional cell assignments in one linear program, and
+maxmin problem over fractional cell assignments in one linear program, the
+master-LP value comes from HiGHS rather than the library's own simplex, and
 Shapley values are averaged over explicit player orderings.
 """
 
@@ -131,6 +132,23 @@ def cell_lp_value(problem) -> float:
     if res.status != 0:
         raise RuntimeError(f"cell LP failed: {res.message}")
     return float(res.x[n])
+
+
+def master_lp_value(columns) -> float:
+    """min over the simplex of max_i <c_i, alpha> for the rows c_i of
+    ``columns``, as one HiGHS LP in (alpha, z)."""
+    n, m = columns.shape
+    cost = np.zeros(m + 1)
+    cost[m] = 1.0
+    a_ub = np.hstack([columns, -np.ones((n, 1))])
+    a_eq = np.ones((1, m + 1))
+    a_eq[0, m] = 0.0
+    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(n), A_eq=a_eq,
+                  b_eq=np.ones(1), bounds=[(0.0, None)] * m + [(None, None)],
+                  method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"master LP failed: {res.message}")
+    return float(res.fun)
 
 
 def shapley_by_permutations(eta, n: int) -> np.ndarray:

@@ -8,8 +8,9 @@ import pytest
 
 import fairdiv
 
-from fairdiv.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PARSE, EXIT_UNCONVERGED,
-                         fmt_num, main)
+from fairdiv.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, EXIT_PARSE,
+                         EXIT_UNCONVERGED, fmt_num, main)
+from fairdiv.problemfile import MAX_GRID_CELLS
 from conftest import BUNDLED_PROBLEM
 
 
@@ -233,6 +234,27 @@ def test_solver_override_flags(capsys):
     assert hi - lo < 5e-3
 
 
+@pytest.mark.parametrize("cells", [0, MAX_GRID_CELLS + 1, 10 ** 14])
+def test_grid_override_out_of_range_exit_code(one_player_file, capsys, cells):
+    rc = main(["--problem", one_player_file, "--command", "solve",
+               "--grid", str(cells)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"grid cells must be in 1..{MAX_GRID_CELLS}" in err
+    assert "Traceback" not in err
+
+
+def test_oversized_grid_in_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "players": [{"density": {"kind": "uniform"}}],
+        "grid_cells": 10 ** 14,
+    }))
+    rc = main(["--problem", str(path), "--command", "solve"])
+    assert rc == EXIT_PARSE
+    assert "grid_cells" in capsys.readouterr().err
+
+
 def test_invalid_clip_k_exit_code(one_player_file, capsys):
     rc = main(["--problem", one_player_file, "--command", "solve",
                "--clip-k", "1"])
@@ -341,6 +363,12 @@ def test_sub_cell_spike_solves(spike_file, capsys):
     assert 0.9997 <= lo <= hi <= 0.9999
 
 
+def _one_line_error(err: str) -> None:
+    assert err.startswith("fairdiv: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_library_value_error_exits_4(one_player_file, capsys, monkeypatch):
     def rejects(problem, config):
         raise ValueError("whole-cake coalition values must be positive")
@@ -348,10 +376,41 @@ def test_library_value_error_exits_4(one_player_file, capsys, monkeypatch):
     monkeypatch.setattr("fairdiv.cli.solve_value", rejects)
     rc = main(["--problem", one_player_file, "--command", "solve"])
     assert rc == EXIT_CONFIG
+    _one_line_error(capsys.readouterr().err)
+
+
+def test_worthless_pre_division_piece_exits_4(tmp_path, capsys):
+    # identical players tie on every cell, so every maxsum partition hands
+    # one of them the whole cake and the other a worthless piece
+    path = tmp_path / "twins.json"
+    path.write_text(json.dumps({
+        "players": [{"density": {"kind": "uniform"}}] * 2,
+        "grid_cells": 64,
+    }))
+    rc = main(["--problem", str(path), "--command", "game",
+               "--weights", "pre", "--max-iter", "3"])
+    assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("fairdiv: ")
-    assert len(err.strip().splitlines()) == 1
-    assert "Traceback" not in err
+    _one_line_error(err)
+    assert "worthless piece" in err
+
+
+@pytest.mark.parametrize("command", [["solve"], ["game", "--subset", "1"]])
+def test_internal_error_exits_5(capsys, monkeypatch, command):
+    def pivot_cap(columns):
+        raise RuntimeError("master LP did not reach an optimum")
+
+    def not_interior(problem, config):
+        raise RuntimeError("step was not clipped enough to stay interior")
+
+    monkeypatch.setattr("fairdiv.cutting._master_lp", pivot_cap)
+    monkeypatch.setattr("fairdiv.cli.solve_value", not_interior)
+    rc = main(["--problem", BUNDLED_PROBLEM, "--weights", "card",
+               "--command"] + command)
+    assert rc == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    _one_line_error(err)
+    assert "internal error" in err
 
 
 def test_python_m_fairdiv():

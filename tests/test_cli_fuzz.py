@@ -1,8 +1,9 @@
 """Random problem files through the command line.
 
 Every file either solves or exits with a documented code, never with a
-traceback; a file with NaN, Infinity or a number beyond the float range in it
-is a parse error.
+traceback or an internal error; a file with NaN, Infinity or a number beyond
+the float range in it, or with more grid cells than the cap, is a parse
+error.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import sys
 from hypothesis import given, settings, strategies as st
 
 from fairdiv.cli import COMMANDS, EXIT_PARSE, main
+from fairdiv.problemfile import MAX_GRID_CELLS
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400])
 
@@ -55,7 +57,9 @@ def densities(draw):
 def problem_docs(draw):
     players = draw(st.lists(densities(), min_size=1, max_size=3))
     doc = {"players": [{"density": d} for d in players],
-           "grid_cells": draw(st.integers(1, 8192))}
+           "grid_cells": draw(st.one_of(
+               st.integers(1, 8192),
+               st.integers(MAX_GRID_CELLS + 1, 10 ** 15)))}
     weights = draw(st.one_of(
         st.none(), st.sampled_from(["card", "pre"]),
         st.lists(numbers(1e-2, 1e2), min_size=1, max_size=3)))
@@ -102,5 +106,5 @@ def test_problem_files_exit_with_documented_codes(tmp_path_factory, doc,
         rc = main(argv)
     assert rc in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
-    if _non_finite(doc):
+    if _non_finite(doc) or doc["grid_cells"] > MAX_GRID_CELLS:
         assert rc == EXIT_PARSE, err.getvalue()

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from fairdiv import (DensitySpec, Grid, SolverConfig, cutting_plane_value,
-                     weighted_problem)
-from helpers import cell_lp_value, random_problem
+                     maxsum_partition, weighted_problem)
+from fairdiv.cutting import _master_lp
+from helpers import cell_lp_value, master_lp_value, random_problem
 
-#: the cell LP and the master LP both run under HiGHS's default tolerances
+#: the cell LP runs under HiGHS's default tolerances
 LP_TOL = 1e-7
 
 
@@ -36,13 +37,25 @@ def test_bracket_matches_known_competitive_value(competitive_problem):
     assert res.upper == res.pvv.g_value
 
 
-def test_stall_ends_unconverged(competitive_problem):
-    # below the master LP's tolerance the oracle starts returning columns it
-    # already holds; the solver must stop there rather than run to the cap
+def test_exact_pinch_on_competitive_problem(competitive_problem):
+    # the exact master LP keeps producing new columns until the bracket
+    # closes to rounding, far below any epsilon a user would ask for
     res = cutting_plane_value(competitive_problem, SolverConfig(epsilon=1e-12))
+    assert res.converged
+    assert 0.0 <= res.width < 1e-12
+    assert 0.4035534 <= res.lower <= res.upper <= 0.4035536
+
+
+def test_repeated_column_ends_unconverged(competitive_problem, monkeypatch):
+    # an oracle that only returns a column already held: the master LP would
+    # repeat itself, so the solver must stop rather than run to the cap
+    first = maxsum_partition(competitive_problem, np.full(5, 0.2))
+    monkeypatch.setattr("fairdiv.cutting.maxsum_partition",
+                        lambda problem, alpha: first)
+    res = cutting_plane_value(competitive_problem, SolverConfig(epsilon=1e-9))
     assert not res.converged
-    assert res.iterations < 500
-    assert 0.0 <= res.width < 1e-6
+    assert res.iterations == 1
+    assert res.lower <= res.upper
 
 
 def test_iteration_cap():
@@ -74,3 +87,35 @@ def test_deterministic(competitive_problem):
     b = cutting_plane_value(competitive_problem)
     assert (a.lower, a.upper, a.iterations) == (b.lower, b.upper,
                                                 b.iterations)
+
+
+def _master_lp_cases():
+    """Random nonnegative column sets holding the axis rows: plain, with
+    duplicate columns, with all-zero rows, and on a coarse lattice (ties)."""
+    rng = np.random.default_rng(404)
+    for k in range(400):
+        m = 1 if k % 10 == 0 else int(rng.integers(2, 9))
+        totals = rng.uniform(0.05, 2.0, m)
+        held = rng.uniform(0.0, 1.0, (int(rng.integers(0, 40)), m)) * totals
+        if k % 4 == 1 and len(held):
+            held = np.vstack([held, held[rng.integers(0, len(held), 3)]])
+        elif k % 4 == 2:
+            held = np.vstack([held, np.zeros((2, m))])
+        elif k % 4 == 3:
+            totals = np.round(totals * 4) / 4 + 0.25
+            held = np.round(held * 4) / 4
+        columns = np.vstack([np.diag(totals), held])
+        yield columns[rng.permutation(len(columns))]
+
+
+def test_master_lp_is_optimal():
+    for columns in _master_lp_cases():
+        alpha, lam = _master_lp(columns)
+        for w in (alpha, lam):
+            assert (w >= 0.0).all()
+            assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        # max(C alpha) >= v >= min(lambda C): equal, both are optimal
+        upper = (columns @ alpha).max()
+        lower = (lam @ columns).min()
+        assert upper - lower <= 1e-12 * upper
+        assert upper == pytest.approx(master_lp_value(columns), abs=1e-9)

@@ -2,6 +2,7 @@ import pytest
 
 from fairdiv import (DensitySpec, PlayerSpec, Problem, ProblemFormatError,
                      load_problem, save_problem)
+from fairdiv.problemfile import MAX_GRID_CELLS
 from conftest import BUNDLED_PROBLEM
 
 
@@ -53,6 +54,10 @@ def test_malformed_json_reports_line(tmp_path):
     ('{"players": [{"name": "x"}]}', "density"),
     ('{"players": [{"density": {"kind": "uniform"}}], "grid_cells": 0}',
      "grid_cells"),
+    ('{"players": [{"density": {"kind": "uniform"}}], "grid_cells": %d}'
+     % (MAX_GRID_CELLS + 1), "at most"),
+    ('{"players": [{"density": {"kind": "uniform"}}],'
+     ' "grid_cells": 100000000000000}', "at most"),
     ('{"players": [{"density": {"kind": "uniform"}}], "weights": "fancy"}',
      "weights"),
     ('{"players": [{"density": {"kind": "uniform"}}], "weights": [0]}',
