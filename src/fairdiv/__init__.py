@@ -3,8 +3,8 @@
 Preferences are probability densities on the unit interval; coalitions value
 pieces by the pointwise max of member densities.  A projected subgradient
 method over the unit simplex computes the weighted maxmin value with
-certified upper and lower bounds, and the induced coalitional game with
-Shapley values.
+certified upper and lower bounds.  The induced coalitional game and its
+Shapley values are built on the same weighted maxmin value.
 
 Game values (``full_game``, ``game_value``) come from a cutting-plane solver
 (``cutting_plane_value``), which needs no step rule.  The step rule of

@@ -17,7 +17,8 @@ import io
 import itertools
 import json
 import sys
-from dataclasses import dataclass, replace
+from argparse import Namespace
+from dataclasses import replace
 
 from .coalitions import (PRE_SOLVE_EPSILON, GameTable, WeightSystem,
                          cardinality_weights, full_game, game_value,
@@ -26,7 +27,7 @@ from .measures import Grid
 from .partition import WeightedProblem, weighted_problem
 from .problemfile import (MAX_GRID_CELLS, Problem, ProblemFormatError,
                           load_problem)
-from .subgradient import SolverConfig, StepRule, solve_partition, solve_value
+from .subgradient import SolverConfig, solve_partition, solve_value
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -41,28 +42,12 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    problem_path: str
-    command: str
-    coalitions: str | None = None
-    subset: str | None = None
-    weights: str | None = None
-    epsilon: float | None = None
-    grid_cells: int | None = None
-    step_scale: float | None = None
-    clip_k: int | None = None
-    max_iter: int | None = None
-    jobs: int = 1
-    out: str | None = None
-    out_format: str = "csv"
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fairdiv",
         description="Maxmin fair division of [0,1] with coalition games.")
-    p.add_argument("--problem", required=True, help="problem file (JSON)")
+    p.add_argument("--problem", required=True, dest="problem_path",
+                   metavar="PROBLEM", help="problem file (JSON)")
     p.add_argument("--command", required=True, choices=COMMANDS)
     p.add_argument("--coalitions",
                    help="coalition structure, e.g. '1,2|3|4,5' (1-based)")
@@ -70,14 +55,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", choices=["card", "pre"],
                    help="weight system (default: problem file, else all ones)")
     p.add_argument("--epsilon", type=float, help="stop tolerance")
-    p.add_argument("--grid", type=int, help="grid cells override")
+    p.add_argument("--grid", type=int, dest="grid_cells", metavar="GRID",
+                   help="grid cells override")
     p.add_argument("--step-scale", type=float,
                    help="base step scale (solve, partition, trace)")
     p.add_argument("--clip-k", type=int,
                    help="interiority clip constant (solve, partition, trace)")
     p.add_argument("--max-iter", type=int, help="iteration cap")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for 'game'/'shapley'")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv",
                    dest="out_format")
@@ -114,7 +98,12 @@ def _parse_structure(text: str | None, n: int) -> tuple[tuple[int, ...], ...]:
     return structure
 
 
-def _solver_config(spec: RunSpec, for_game: bool = False) -> SolverConfig:
+def _given(**fields) -> dict:
+    """The fields the command line set; the rest keep their defaults."""
+    return {k: v for k, v in fields.items() if v is not None}
+
+
+def _solver_config(spec: Namespace, for_game: bool = False) -> SolverConfig:
     if for_game:
         for flag, value in (("--step-scale", spec.step_scale),
                             ("--clip-k", spec.clip_k)):
@@ -122,31 +111,25 @@ def _solver_config(spec: RunSpec, for_game: bool = False) -> SolverConfig:
                 raise ConfigError(f"{flag} applies only to solve, partition "
                                   "and trace")
     base = SolverConfig()
-    rule = base.step_rule
     try:
-        if spec.step_scale is not None:
-            rule = StepRule(kind=rule.kind, scale=spec.step_scale,
-                            clip=rule.clip)
-        if spec.clip_k is not None:
-            rule = StepRule(kind=rule.kind, scale=rule.scale,
-                            clip=spec.clip_k)
-        return SolverConfig(
-            epsilon=spec.epsilon if spec.epsilon is not None else base.epsilon,
-            max_iterations=(spec.max_iter if spec.max_iter is not None
-                            else base.max_iterations),
-            step_rule=rule)
+        rule = replace(base.step_rule, **_given(scale=spec.step_scale,
+                                                clip=spec.clip_k))
+        return replace(base, step_rule=rule,
+                       **_given(epsilon=spec.epsilon,
+                                max_iterations=spec.max_iter))
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
 
-def _grid(spec: RunSpec, problem: Problem) -> Grid:
+def _grid(spec: Namespace, problem: Problem) -> Grid:
     cells = spec.grid_cells if spec.grid_cells is not None else problem.grid_cells
     if not 1 <= cells <= MAX_GRID_CELLS:
         raise ConfigError(f"grid cells must be in 1..{MAX_GRID_CELLS}")
     return Grid(cells)
 
 
-def _weight_system(spec: RunSpec, problem: Problem, name: str) -> WeightSystem:
+def _weight_system(spec: Namespace, problem: Problem,
+                   name: str) -> WeightSystem:
     """The ``card`` or ``pre`` weight system; ``--max-iter`` caps the
     competitive pre-solve behind pre-division weights too."""
     if name == "card":
@@ -161,7 +144,7 @@ def _weight_system(spec: RunSpec, problem: Problem, name: str) -> WeightSystem:
     return pre_division_weights(problem.densities, config=config)
 
 
-def _structure_problem(spec: RunSpec, problem: Problem
+def _structure_problem(spec: Namespace, problem: Problem
                        ) -> tuple[WeightedProblem, bool]:
     """The weighted problem behind solve, partition and trace, and whether
     its weights converged; ``--weights`` beats the file, default all ones."""
@@ -196,29 +179,42 @@ def _coalition_label(s) -> str:
     return ",".join(str(i + 1) for i in sorted(s))
 
 
-def _open_out(spec: RunSpec):
+def _emit(spec: Namespace, text: str) -> None:
     if spec.out:
-        return open(spec.out, "w", encoding="utf-8")
-    return None
-
-
-def _emit(spec: RunSpec, text: str) -> None:
-    f = _open_out(spec)
-    if f is None:
-        sys.stdout.write(text)
-    else:
-        with f:
+        with open(spec.out, "w", encoding="utf-8") as f:
             f.write(text)
+    else:
+        sys.stdout.write(text)
 
 
-def _cmd_solve(spec: RunSpec, problem: Problem) -> int:
+def _csv_field(value) -> str:
+    if isinstance(value, str):
+        return f'"{value}"'
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, int):
+        return str(value)
+    return fmt_num(value)
+
+
+def _emit_records(spec: Namespace, records: list[dict]) -> None:
+    """One dict per row: a JSON list, or CSV headed by the dict keys."""
+    if spec.out_format == "json":
+        _emit(spec, json.dumps(records, indent=2) + "\n")
+        return
+    lines = [",".join(records[0])]
+    lines += [",".join(_csv_field(v) for v in rec.values()) for rec in records]
+    _emit(spec, "\n".join(lines) + "\n")
+
+
+def _cmd_solve(spec: Namespace, problem: Problem) -> int:
     wp, weights_converged = _structure_problem(spec, problem)
     res = solve_value(wp, _solver_config(spec))
-    print(f"[{fmt_num(res.lower)}, {fmt_num(res.upper)}]")
+    _emit(spec, f"[{fmt_num(res.lower)}, {fmt_num(res.upper)}]\n")
     return EXIT_OK if res.converged and weights_converged else EXIT_UNCONVERGED
 
 
-def _cmd_partition(spec: RunSpec, problem: Problem) -> int:
+def _cmd_partition(spec: Namespace, problem: Problem) -> int:
     wp, weights_converged = _structure_problem(spec, problem)
     res = solve_partition(wp, _solver_config(spec))
     alloc = res.allocation
@@ -239,94 +235,56 @@ def _cmd_partition(spec: RunSpec, problem: Problem) -> int:
     return EXIT_OK if res.converged and weights_converged else EXIT_UNCONVERGED
 
 
-def _systems(spec: RunSpec, problem: Problem) -> dict:
+def _systems(spec: Namespace, problem: Problem) -> dict:
     names = [spec.weights] if spec.weights else ["card", "pre"]
     return {name: _weight_system(spec, problem, name) for name in names}
 
 
-def _game_tables(spec: RunSpec, problem: Problem) -> dict[str, GameTable]:
+def _game_tables(spec: Namespace, problem: Problem) -> dict[str, GameTable]:
     grid = _grid(spec, problem)
     config = _solver_config(spec, for_game=True)
     return {name: full_game(problem.densities, system, config=config,
-                            grid=grid, jobs=spec.jobs)
+                            grid=grid)
             for name, system in _systems(spec, problem).items()}
 
 
-def _write_game(spec: RunSpec, problem: Problem,
-                tables: dict[str, GameTable], subsets) -> None:
-    names = list(tables)
-    rows = []
-    for s in subsets:
-        entries = [tables[name].entries[frozenset(s)] for name in names]
-        rows.append((s, entries))
-    if spec.out_format == "json":
-        doc = []
-        for s, entries in rows:
-            rec = {"coalition": _coalition_label(s)}
-            for name, e in zip(names, entries):
-                rec[f"eta_{name}"] = e.value
-            rec["converged"] = all(e.converged for e in entries)
-            doc.append(rec)
-        _emit(spec, json.dumps(doc, indent=2) + "\n")
-    else:
-        buf = io.StringIO()
-        buf.write("coalition," + ",".join(f"eta_{n}" for n in names)
-                  + ",converged\n")
-        for s, entries in rows:
-            vals = ",".join(fmt_num(e.value) for e in entries)
-            flag = str(all(e.converged for e in entries)).lower()
-            buf.write(f"\"{_coalition_label(s)}\",{vals},{flag}\n")
-        _emit(spec, buf.getvalue())
-
-
-def _cmd_game(spec: RunSpec, problem: Problem) -> int:
+def _cmd_game(spec: Namespace, problem: Problem) -> int:
     n = problem.n
-    if spec.subset is not None:
+    if spec.subset is None:
+        subsets = [s for r in range(1, n + 1)
+                   for s in itertools.combinations(range(n), r)]
+        entries = {name: t.entries
+                   for name, t in _game_tables(spec, problem).items()}
+    else:
         s = _parse_players(spec.subset, n)
         grid = _grid(spec, problem)
         config = _solver_config(spec, for_game=True)
-        systems = _systems(spec, problem)
-        entries = {name: game_value(problem.densities, s, system,
-                                    config=config, grid=grid)
-                   for name, system in systems.items()}
-        tables = {name: GameTable(players=n, system=systems[name],
-                                  entries={frozenset(s): e})
-                  for name, e in entries.items()}
-        _write_game(spec, problem, tables, [s])
-        ok = all(e.converged for e in entries.values())
-        return EXIT_OK if ok else EXIT_UNCONVERGED
+        subsets = [s]
+        entries = {name: {frozenset(s): game_value(
+            problem.densities, s, system, config=config, grid=grid)}
+            for name, system in _systems(spec, problem).items()}
+    records = []
+    for s in subsets:
+        row = {name: table[frozenset(s)] for name, table in entries.items()}
+        records.append({"coalition": _coalition_label(s),
+                        **{f"eta_{name}": e.value for name, e in row.items()},
+                        "converged": all(e.converged for e in row.values())})
+    _emit_records(spec, records)
+    ok = all(rec["converged"] for rec in records)
+    return EXIT_OK if ok else EXIT_UNCONVERGED
+
+
+def _cmd_shapley(spec: Namespace, problem: Problem) -> int:
     tables = _game_tables(spec, problem)
-    subsets = [s for r in range(1, n + 1)
-               for s in itertools.combinations(range(n), r)]
-    _write_game(spec, problem, tables, subsets)
+    values = {name: shapley(t).values for name, t in tables.items()}
+    _emit_records(spec, [
+        {"player": i + 1, **{f"sv_{name}": v[i] for name, v in values.items()}}
+        for i in range(problem.n)])
     ok = all(t.all_converged for t in tables.values())
     return EXIT_OK if ok else EXIT_UNCONVERGED
 
 
-def _cmd_shapley(spec: RunSpec, problem: Problem) -> int:
-    tables = _game_tables(spec, problem)
-    results = {name: shapley(t) for name, t in tables.items()}
-    names = list(results)
-    if spec.out_format == "json":
-        doc = []
-        for i in range(problem.n):
-            rec = {"player": i + 1}
-            for name in names:
-                rec[f"sv_{name}"] = results[name].values[i]
-            doc.append(rec)
-        _emit(spec, json.dumps(doc, indent=2) + "\n")
-    else:
-        buf = io.StringIO()
-        buf.write("player," + ",".join(f"sv_{n}" for n in names) + "\n")
-        for i in range(problem.n):
-            vals = ",".join(fmt_num(results[name].values[i]) for name in names)
-            buf.write(f"{i + 1},{vals}\n")
-        _emit(spec, buf.getvalue())
-    ok = all(t.all_converged for t in tables.values())
-    return EXIT_OK if ok else EXIT_UNCONVERGED
-
-
-def _cmd_trace(spec: RunSpec, problem: Problem) -> int:
+def _cmd_trace(spec: Namespace, problem: Problem) -> int:
     wp, weights_converged = _structure_problem(spec, problem)
     res = solve_value(wp, replace(_solver_config(spec), record_trace=True))
     _emit(spec, res.trace.to_csv_string())
@@ -342,7 +300,8 @@ _DISPATCH = {
 }
 
 
-def run(spec: RunSpec) -> int:
+def run(spec: Namespace) -> int:
+    """Run one parsed command line; returns the exit code."""
     try:
         problem = load_problem(spec.problem_path)
     except FileNotFoundError:
@@ -365,27 +324,7 @@ def run(spec: RunSpec) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.jobs < 1:
-        print("fairdiv: invalid configuration: jobs must be >= 1",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    spec = RunSpec(
-        problem_path=args.problem,
-        command=args.command,
-        coalitions=args.coalitions,
-        subset=args.subset,
-        weights=args.weights,
-        epsilon=args.epsilon,
-        grid_cells=args.grid,
-        step_scale=args.step_scale,
-        clip_k=args.clip_k,
-        max_iter=args.max_iter,
-        jobs=args.jobs,
-        out=args.out,
-        out_format=args.out_format,
-    )
-    return run(spec)
+    return run(_build_parser().parse_args(argv))
 
 
 def console_main() -> None:

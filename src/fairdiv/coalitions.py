@@ -15,7 +15,6 @@ subgradient method.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import factorial
 
@@ -90,16 +89,14 @@ def pre_division_weights(players, config: SolverConfig | None = None,
     n = len(players)
     if config is None:
         config = SolverConfig(epsilon=PRE_SOLVE_EPSILON)
-    grid = Grid(cells)
-    singletons = [(i,) for i in range(n)]
-    table = coalition_table(players, singletons, grid)
-    problem = WeightedProblem(structure=tuple(singletons),
-                              weights=(1.0,) * n, table=table)
+    all_subsets = _nonempty_subsets(n)
+    full = coalition_table(players, all_subsets, Grid(cells))
+    singletons = tuple((i,) for i in range(n))
+    problem = WeightedProblem(structure=singletons, weights=(1.0,) * n,
+                              table=full.restrict(singletons))
     res = solve_partition(problem, config)
     assign = res.allocation.assignment
 
-    all_subsets = _nonempty_subsets(n)
-    full = coalition_table(players, all_subsets, grid)
     values = {}
     for s in all_subsets:
         piece = np.isin(assign, s)
@@ -185,8 +182,8 @@ def full_game(players, system: WeightSystem,
     """Game values for every nonempty coalition.
 
     Structures that coincide after canonical ordering (all singletons, for
-    instance) are solved once; coalition solves are independent and may fan
-    out over ``jobs`` worker threads.
+    instance) are solved once.  Solves run serially; ``jobs`` is accepted
+    and ignored, since worker threads did not pay.
     """
     n = len(players)
     if config is None:
@@ -198,17 +195,9 @@ def full_game(players, system: WeightSystem,
     for s in subsets:
         structures.setdefault(versus_singletons(s, n), []).append(s)
 
-    def solve_one(structure):
-        return cutting_plane_value(
-            _structure_problem(structure, system, master), config)
-
-    keys = sorted(structures)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = dict(zip(keys, pool.map(solve_one, keys)))
-    else:
-        results = {k: solve_one(k) for k in keys}
-
+    results = {structure: cutting_plane_value(
+        _structure_problem(structure, system, master), config)
+        for structure in sorted(structures)}
     entries = {frozenset(s): _entry(system, s, results[structure])
                for structure, members in structures.items()
                for s in members}

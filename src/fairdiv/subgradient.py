@@ -41,8 +41,8 @@ class StepRule:
     def __post_init__(self):
         if self.kind not in ("harmonic", "sqrt"):
             raise ValueError("step kind must be 'harmonic' or 'sqrt'")
-        if self.scale <= 0:
-            raise ValueError("step scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError("step scale must be finite and positive")
         if self.clip < 2:
             raise ValueError("clip constant must be an integer >= 2")
 
@@ -61,8 +61,8 @@ class SolverConfig:
     record_trace: bool = False
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be finite and positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if self.initial_alpha is not None and any(

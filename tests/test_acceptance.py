@@ -49,14 +49,14 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def game_tables(five_players):
-    """Both weight systems' full games at 4096 cells, 4 workers, timed."""
+    """Both weight systems' full games at 4096 cells, timed."""
     start = time.perf_counter()
     pre = pre_division_weights(five_players)
     tables = {
         "card": full_game(five_players, cardinality_weights(),
-                          config=default_game_config(), jobs=4),
+                          config=default_game_config()),
         "pre": full_game(five_players, pre,
-                         config=default_game_config(), jobs=4),
+                         config=default_game_config()),
     }
     elapsed = time.perf_counter() - start
     return tables, elapsed
@@ -100,7 +100,7 @@ def test_criterion_3_game_table(game_tables):
            ok,
            f"27 reference rows, max |diff| card {worst['card']:.2e}, "
            f"pre {worst['pre']:.2e}, all converged: {converged}, "
-           f"{elapsed:.1f}s with 4 workers")
+           f"{elapsed:.1f}s")
 
 
 def test_criterion_4_shapley(game_tables):

@@ -62,6 +62,15 @@ def test_solve_bundled_instance(capsys):
     assert lo <= 0.4036 and hi >= 0.4030
 
 
+def test_solve_writes_out_file(disjoint_file, tmp_path, capsys):
+    out = tmp_path / "bracket.txt"
+    rc = main(["--problem", disjoint_file, "--command", "solve",
+               "--out", str(out)])
+    assert rc == EXIT_OK
+    assert out.read_text() == "[1.0, 1.0]\n"
+    assert capsys.readouterr().out == ""
+
+
 def test_solve_with_coalition_structure(disjoint_file, capsys):
     rc = main(["--problem", disjoint_file, "--command", "solve",
                "--coalitions", "1|2"])
@@ -129,6 +138,36 @@ def test_shapley_json(disjoint_file, capsys):
     assert doc[1]["sv_pre"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_game_json_bytes(disjoint_file, capsys):
+    rc = main(["--problem", disjoint_file, "--command", "game",
+               "--format", "json"])
+    assert rc == EXIT_OK
+    rows = [("1", "1.0"), ("2", "1.0"), ("1,2", "2.0")]
+    want = ",\n".join(
+        f'  {{\n    "coalition": "{c}",\n    "eta_card": {v},\n'
+        f'    "eta_pre": {v},\n    "converged": true\n  }}'
+        for c, v in rows)
+    assert capsys.readouterr().out == "[\n" + want + "\n]\n"
+
+
+def test_shapley_csv_bytes(disjoint_file, capsys):
+    rc = main(["--problem", disjoint_file, "--command", "shapley"])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out == ("player,sv_card,sv_pre\n"
+                                       "1,1.0,1.0\n"
+                                       "2,1.0,1.0\n")
+
+
+def test_shapley_json_bytes(disjoint_file, capsys):
+    rc = main(["--problem", disjoint_file, "--command", "shapley",
+               "--format", "json"])
+    assert rc == EXIT_OK
+    want = ",\n".join(
+        f'  {{\n    "player": {i},\n    "sv_card": 1.0,\n'
+        f'    "sv_pre": 1.0\n  }}' for i in (1, 2))
+    assert capsys.readouterr().out == "[\n" + want + "\n]\n"
+
+
 def test_trace_csv(disjoint_file, capsys):
     rc = main(["--problem", disjoint_file, "--command", "trace"])
     assert rc == EXIT_OK
@@ -140,7 +179,7 @@ def test_shapley_bundled_instance_matches_reference(capsys):
     # reference values for the bundled instance; 1-based player order
     want = [0.465, 0.451, 0.507, 0.491, 0.563]
     rc = main(["--problem", BUNDLED_PROBLEM, "--command", "shapley",
-               "--weights", "card", "--jobs", "4"])
+               "--weights", "card"])
     assert rc == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "player,sv_card"
@@ -169,6 +208,24 @@ def test_invalid_epsilon_exit_code(one_player_file, capsys):
                "--epsilon", "-1"])
     assert rc == EXIT_CONFIG
     assert "invalid configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--epsilon", "--step-scale"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_solver_value_exit_code(one_player_file, capsys, flag,
+                                           value):
+    rc = main(["--problem", one_player_file, "--command", "solve",
+               flag, value])
+    assert rc == EXIT_CONFIG
+    assert "must be finite and positive" in capsys.readouterr().err
+
+
+def test_jobs_flag_rejected(one_player_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--problem", one_player_file, "--command", "game",
+              "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
 def test_overlapping_coalitions_exit_code(disjoint_file, capsys):

@@ -79,13 +79,6 @@ def test_full_game_disjoint_pair_both_systems(disjoint_pair):
         assert card.entries[s].value <= pre.entries[s].value + 2e-3
 
 
-def test_full_game_parallel_matches_serial(disjoint_pair):
-    serial = full_game(disjoint_pair, cardinality_weights(), grid=Grid(64))
-    parallel = full_game(disjoint_pair, cardinality_weights(), grid=Grid(64),
-                         jobs=4)
-    assert serial.entries == parallel.entries
-
-
 def test_empty_coalition_game_rejected(disjoint_pair):
     with pytest.raises(ValueError):
         game_value(disjoint_pair, (), cardinality_weights(), grid=Grid(16))

@@ -19,6 +19,8 @@ def test_step_rule_sequences():
     dict(kind="geometric"),
     dict(scale=0.0),
     dict(scale=-1.0),
+    dict(scale=float("nan")),
+    dict(scale=float("inf")),
     dict(clip=1),
 ])
 def test_step_rule_validation(kwargs):
@@ -81,8 +83,9 @@ def test_update_alpha_rejects_oversized_step():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(epsilon=0.0)
+    for epsilon in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SolverConfig(epsilon=epsilon)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
     with pytest.raises(ValueError):
