@@ -6,11 +6,13 @@ method over the unit simplex computes the weighted maxmin value with
 certified upper and lower bounds.  The induced coalitional game and its
 Shapley values are built on the same weighted maxmin value.
 
-Game values (``full_game``, ``game_value``) come from a cutting-plane solver
-(``cutting_plane_value``), which needs no step rule.  The step rule of
-``SolverConfig`` (``--step-scale``/``--clip-k`` on the command line) applies
-to the subgradient solves only: ``solve_value``, ``solve_partition`` and the
-competitive pre-solve behind pre-division weights.
+Game values (``full_game``, ``game_value``) and pre-division weights come
+from a cutting-plane solver (``cutting_plane_value``), which needs no step
+rule; pre-division weights are the dual (lambda) mix of its maxsum
+partitions, an equitable partition that splits a few cells.  The step rule
+of ``SolverConfig`` (``--step-scale``/``--clip-k`` on the command line)
+applies to the subgradient solves only: ``solve_value`` and
+``solve_partition``.
 """
 
 from .bounds import BoundPair, bound_pair, lower_bound, upper_bound

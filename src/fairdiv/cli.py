@@ -5,9 +5,12 @@ weights did not converge (partial outputs are still written, flagged), 4
 invalid configuration or a problem the library rejects, 5 internal error (a
 library ``RuntimeError``: a bug, not a property of the problem).
 
-Game values (``game``, ``shapley``) come from the cutting-plane solver, which
-has no step rule; ``--step-scale`` and ``--clip-k`` tune the projected
-subgradient method behind ``solve``, ``partition`` and ``trace`` only.
+Game values (``game``, ``shapley``) and pre-division weights (``--weights
+pre``) come from the cutting-plane solver, which has no step rule;
+``--step-scale`` and ``--clip-k`` tune the projected subgradient method
+behind ``solve``, ``partition`` and ``trace`` only.  ``--max-iter`` caps
+every solve of a run, the Kelley iterations of the pre-division pre-solve
+included, and pre-division weights are computed on the run's grid.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import sys
 from argparse import Namespace
 from dataclasses import replace
 
-from .coalitions import (PRE_SOLVE_EPSILON, GameTable, WeightSystem,
+from .coalitions import (PRE_SOLVE_CONFIG, GameTable, WeightSystem,
                          cardinality_weights, full_game, game_value,
                          pre_division_weights, shapley, weight_of)
 from .measures import Grid
@@ -130,18 +133,18 @@ def _grid(spec: Namespace, problem: Problem) -> Grid:
 
 def _weight_system(spec: Namespace, problem: Problem,
                    name: str) -> WeightSystem:
-    """The ``card`` or ``pre`` weight system; ``--max-iter`` caps the
-    competitive pre-solve behind pre-division weights too."""
+    """The ``card`` or ``pre`` weight system.  Pre-division weights value
+    coalitions on the run's grid, and ``--max-iter`` caps the Kelley
+    iterations of their competitive pre-solve too."""
     if name == "card":
         return cardinality_weights()
-    if spec.max_iter is None:
-        return pre_division_weights(problem.densities)
     try:
-        config = SolverConfig(epsilon=PRE_SOLVE_EPSILON,
-                              max_iterations=spec.max_iter)
+        config = replace(PRE_SOLVE_CONFIG,
+                         **_given(max_iterations=spec.max_iter))
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    return pre_division_weights(problem.densities, config=config)
+    return pre_division_weights(problem.densities, config=config,
+                                cells=_grid(spec, problem).cell_count)
 
 
 def _structure_problem(spec: Namespace, problem: Problem

@@ -7,9 +7,9 @@ are supported: coalition cardinality, and pre-division utility, where w(S) is
 what S's joint preference assigns to the union of its members' pieces in the
 competitive optimal partition.
 
-Game values come from the cutting-plane solver (``cutting``); the
-competitive pre-solve behind pre-division weights stays on the projected
-subgradient method.
+Game values come from the cutting-plane solver (``cutting``), and so does
+the competitive pre-solve behind pre-division weights: its master-LP duals
+mix maxsum partitions into an equitable fractional partition.
 """
 
 from __future__ import annotations
@@ -23,15 +23,15 @@ import numpy as np
 from .cutting import cutting_plane_value
 from .measures import Grid, coalition_table
 from .partition import WeightedProblem
-from .subgradient import SolverConfig, solve_partition
+from .subgradient import SolverConfig
 
 CARDINALITY = "cardinality"
 PRE_DIVISION = "pre_division"
 
-#: competitive pre-solve for pre-division weights: tighter epsilon needs a
-#: finer grid, since the value-vector spread is quantized at cell-mass scale
-PRE_SOLVE_EPSILON = 1e-4
-PRE_SOLVE_CELLS = 32_768
+#: competitive pre-solve for pre-division weights: at this epsilon the master
+#: LP pinches the bundled singletons to rounding in 64 iterations and its
+#: lambda mix splits 5 of 4,096 cells; at 1e-3 it splits 810
+PRE_SOLVE_CONFIG = SolverConfig(epsilon=1e-9)
 
 
 def default_game_config(epsilon: float = 1e-3) -> SolverConfig:
@@ -42,8 +42,8 @@ def default_game_config(epsilon: float = 1e-3) -> SolverConfig:
 class WeightSystem:
     """Coalition weight function; pre-division values are cached at build.
 
-    ``converged`` records whether the competitive pre-solve reached its
-    equitability target; game values built on unconverged weights are
+    ``converged`` records whether the competitive pre-solve closed its
+    bracket to epsilon; game values built on unconverged weights are
     flagged, never silently trusted.
     """
 
@@ -74,37 +74,30 @@ def weight_of(system: WeightSystem, coalition) -> float:
         raise KeyError(f"no cached weight for coalition {sorted(s)}") from None
 
 
-def pre_division_weights(players, config: SolverConfig | None = None,
-                         cells: int = PRE_SOLVE_CELLS) -> WeightSystem:
+def pre_division_weights(players,
+                         config: SolverConfig = PRE_SOLVE_CONFIG,
+                         cells: int = 4096) -> WeightSystem:
     """Weights from the competitive optimal partition.
 
-    Solves the all-singletons equal-weight problem to an equitable partition,
-    then values every coalition's joint preference on the union of its
-    members' pieces.  If the pre-solve cannot close the equitability gap
-    (flat density ties can make the exact optimum unreachable on a grid),
-    the best-spread partition is used and the system is flagged unconverged.
-    Raises ``ValueError`` if that partition leaves some coalition a worthless
-    piece, as it does for two identical players, who tie on every cell.
+    Solves the all-singletons equal-weight problem with the cutting-plane
+    solver and takes the lambda mix of its maxsum partitions (``shares`` of
+    the result): a fractional partition, equitable at the optimum, that
+    splits only a few cells.  Every coalition is valued by its joint
+    preference on the union of its members' shares.  If the pre-solve stops
+    short of ``config.epsilon``, the system is flagged unconverged.
     """
     n = len(players)
-    if config is None:
-        config = SolverConfig(epsilon=PRE_SOLVE_EPSILON)
     all_subsets = _nonempty_subsets(n)
     full = coalition_table(players, all_subsets, Grid(cells))
     singletons = tuple((i,) for i in range(n))
     problem = WeightedProblem(structure=singletons, weights=(1.0,) * n,
                               table=full.restrict(singletons))
-    res = solve_partition(problem, config)
-    assign = res.allocation.assignment
+    res = cutting_plane_value(problem, config)
+    shares = res.shares
 
-    values = {}
-    for s in all_subsets:
-        piece = np.isin(assign, s)
-        values[frozenset(s)] = float(full.mass_row(s)[piece].sum())
-    if min(values.values()) <= 0.0:
-        raise ValueError(
-            "competitive pre-solve left a coalition with a worthless piece; "
-            "pre-division weights are undefined for this instance")
+    values = {frozenset(s): float(shares[list(s)].sum(axis=0)
+                                  @ full.mass_row(s))
+              for s in all_subsets}
     return WeightSystem(kind=PRE_DIVISION, values=values,
                         converged=res.converged)
 
@@ -195,12 +188,14 @@ def full_game(players, system: WeightSystem,
     for s in subsets:
         structures.setdefault(versus_singletons(s, n), []).append(s)
 
-    results = {structure: cutting_plane_value(
-        _structure_problem(structure, system, master), config)
-        for structure in sorted(structures)}
-    entries = {frozenset(s): _entry(system, s, results[structure])
-               for structure, members in structures.items()
-               for s in members}
+    # each result is dropped once its entries are made, so the held columns
+    # of one solve at a time stay in memory
+    entries = {}
+    for structure in sorted(structures):
+        res = cutting_plane_value(
+            _structure_problem(structure, system, master), config)
+        entries.update((frozenset(s), _entry(system, s, res))
+                       for s in structures[structure])
     return GameTable(players=n, system=system, entries=entries)
 
 

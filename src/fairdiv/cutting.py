@@ -18,11 +18,20 @@ bound is the smallest g seen.
 The master LP is small (one row per held column, one column per coalition)
 and is solved exactly by a dense simplex in ``_master_lp``.
 
+Every column is a cell assignment (axis column q gives every cell to q), so
+the same lambda mix of the assignments is an achievable fractional
+partition whose value vector is lambda C; at the optimum it is equitable.
+This is the LP-duality form of the paper's statement that the competitive
+optimum is a convex combination of maxsum partitions (``shares``).
+
 Unlike the projected subgradient method, nothing here is tuned: there is no
 step rule.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,8 +104,39 @@ def _master_lp(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y / y.sum(), mu / mu.sum()
 
 
+@dataclass(frozen=True, kw_only=True)
+class CuttingResult(SolveResult):
+    """A cutting-plane solve, with the held columns and their assignments.
+
+    ``columns`` stacks the m axis points, then every held value vector;
+    ``assignments`` holds the cell assignment of each non-axis column, in
+    the same order.
+    """
+
+    columns: np.ndarray
+    assignments: tuple[np.ndarray, ...]
+
+    @cached_property
+    def shares(self) -> np.ndarray:
+        """Fractional partition shares[j, k] = sum_i lambda_i [a_i(k) = j].
+
+        lambda comes from one master LP over the final columns (the loop's
+        last one predates the last column).  Every cell's shares sum to 1,
+        and the value vector (shares * cell_values).sum(axis=1) is lambda C:
+        its smallest coordinate is the master-LP value, and it is equitable
+        wherever the master LP's alpha is interior.
+        """
+        m = self.columns.shape[1]
+        _, lam = _master_lp(self.columns)
+        cells = np.arange(self.assignments[0].size)
+        out = np.repeat(lam[:m, None], cells.size, axis=1)
+        for weight, assignment in zip(lam[m:], self.assignments):
+            out[assignment, cells] += weight
+        return out
+
+
 def cutting_plane_value(problem: WeightedProblem,
-                        config: SolverConfig = SolverConfig()) -> SolveResult:
+                        config: SolverConfig = SolverConfig()) -> CuttingResult:
     """Shrink the certified bracket around the maxmin value to epsilon.
 
     Stops when the bracket is narrower than ``config.epsilon`` or pinched
@@ -104,13 +144,15 @@ def cutting_plane_value(problem: WeightedProblem,
     (the master LP would repeat itself; not converged), or after
     ``config.max_iterations`` master-LP iterations (not converged).  The
     step rule and ``record_trace`` of ``config`` are not used.  The result
-    carries the query point with the smallest g.
+    carries the query point with the smallest g, and the held columns with
+    their lambda-mix ``shares``.
     """
     totals = problem.totals
     pvv = maxsum_partition(problem, _initial_alpha(problem, config))
     best = pvv
     lb = lower_bound(pvv, totals)
     columns = np.vstack([np.diag(totals), pvv.u])
+    assignments = [pvv.allocation.assignment]
     stalled = False
 
     t = 0
@@ -131,9 +173,11 @@ def cutting_plane_value(problem: WeightedProblem,
         stalled = bool((columns == pvv.u).all(axis=1).any())
         if not stalled:
             columns = np.vstack([columns, pvv.u])
+            assignments.append(pvv.allocation.assignment)
 
     # on an exact pinch (always so for m == 1) g and the bound sum the same
     # cells in different orders and may differ in the last bit
-    return SolveResult(lower=min(lb, best.g_value), upper=best.g_value,
-                       alpha=best.alpha, pvv=best, iterations=t,
-                       converged=converged)
+    return CuttingResult(lower=min(lb, best.g_value), upper=best.g_value,
+                         alpha=best.alpha, pvv=best, iterations=t,
+                         converged=converged, columns=columns,
+                         assignments=tuple(assignments))

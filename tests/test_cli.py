@@ -252,10 +252,10 @@ def test_game_with_unconverged_weights_still_writes(tmp_path, capsys,
     import fairdiv.cli
     from fairdiv import SolverConfig, pre_division_weights
 
-    def cramped_weights(players):
+    def cramped_weights(players, config, cells):
         return pre_division_weights(
             players, config=SolverConfig(epsilon=1e-9, max_iterations=2),
-            cells=64)
+            cells=cells)
 
     monkeypatch.setattr(fairdiv.cli, "pre_division_weights", cramped_weights)
     path = tmp_path / "two.json"
@@ -366,7 +366,7 @@ def test_step_flags_rejected_for_game_commands(disjoint_file, capsys,
 @pytest.mark.parametrize("in_file", [False, True])
 def test_unconverged_pre_division_weights_exit_3(beta_uniform_file, capsys,
                                                  command, in_file):
-    # the 5-iteration pre-solve cannot reach its equitability target, while
+    # the 5-iteration pre-solve stops short of its epsilon, while
     # the loose epsilon lets the structure solve itself converge
     argv = ["--problem", beta_uniform_file, "--command", command,
             "--max-iter", "5", "--epsilon", "0.5"]
@@ -392,8 +392,26 @@ def test_max_iter_caps_pre_division_solve(beta_uniform_file, capsys):
     assert lines[0] == "coalition,eta_pre,converged"
     assert len(lines) == 4
     assert all(line.endswith(",false") for line in lines[1:])
-    # uncapped, the 32768-cell pre-solve runs to its 50,000-iteration limit
+    # the pre-solve needs 6 Kelley iterations on this 64-cell file, so the
+    # cap of 5 stops it short
     assert elapsed < 5.0
+
+
+def test_pre_division_weights_use_run_grid(beta_uniform_file, capsys,
+                                           monkeypatch):
+    seen = []
+
+    def recording_weights(players, config, cells):
+        seen.append(cells)
+        return fairdiv.pre_division_weights(players, config=config,
+                                            cells=cells)
+
+    monkeypatch.setattr(fairdiv.cli, "pre_division_weights",
+                        recording_weights)
+    rc = main(["--problem", beta_uniform_file, "--command", "game",
+               "--weights", "pre", "--grid", "1024"])
+    assert rc == EXIT_OK
+    assert seen == [1024]
 
 
 @pytest.fixture()
@@ -436,20 +454,20 @@ def test_library_value_error_exits_4(one_player_file, capsys, monkeypatch):
     _one_line_error(capsys.readouterr().err)
 
 
-def test_worthless_pre_division_piece_exits_4(tmp_path, capsys):
-    # identical players tie on every cell, so every maxsum partition hands
-    # one of them the whole cake and the other a worthless piece
+def test_identical_players_split_pre_division_weights(tmp_path, capsys):
+    # identical players tie on every cell; the competitive optimum splits
+    # the cake evenly between them
     path = tmp_path / "twins.json"
     path.write_text(json.dumps({
         "players": [{"density": {"kind": "uniform"}}] * 2,
         "grid_cells": 64,
     }))
     rc = main(["--problem", str(path), "--command", "game",
-               "--weights", "pre", "--max-iter", "3"])
-    assert rc == EXIT_CONFIG
-    err = capsys.readouterr().err
-    _one_line_error(err)
-    assert "worthless piece" in err
+               "--weights", "pre"])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "coalition,eta_pre,converged",
+        '"1",0.5,true', '"2",0.5,true', '"1,2",1.0,true']
 
 
 @pytest.mark.parametrize("command", [["solve"], ["game", "--subset", "1"]])

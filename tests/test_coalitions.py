@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fairdiv import (DensitySpec, GameTable, Grid, cardinality_weights,
-                     full_game, game_value, pre_division_weights, shapley,
-                     weight_of)
+from fairdiv import (DensitySpec, GameTable, Grid, SolverConfig,
+                     cardinality_weights, cutting_plane_value, full_game,
+                     game_value, pre_division_weights, shapley, weight_of)
 from fairdiv.coalitions import GameEntry, versus_singletons
 from helpers import shapley_by_permutations
 
@@ -43,6 +43,23 @@ def test_pre_division_weights_on_bundled_instance(five_players, pre_system):
     assert weight_of(pre_system, range(5)) == pytest.approx(2.477, abs=2e-3)
     # pre-division weights dominate nothing trivially: every value positive
     assert all(v > 0 for v in pre_system.values.values())
+
+
+def test_pre_division_singletons_equitable_inside_bracket(
+        competitive_problem, pre_system):
+    # the lambda mix is exactly equitable, at the certified competitive value
+    # of the same 4,096-cell table
+    res = cutting_plane_value(competitive_problem, SolverConfig(epsilon=1e-9))
+    singles = [weight_of(pre_system, (i,)) for i in range(5)]
+    assert max(singles) - min(singles) < 1e-12
+    assert all(res.lower <= v <= res.upper for v in singles)
+
+
+def test_pre_division_splits_identical_players():
+    system = pre_division_weights([DensitySpec.uniform()] * 2, cells=64)
+    assert system.converged
+    assert system.values == {frozenset({0}): 0.5, frozenset({1}): 0.5,
+                             frozenset({0, 1}): 1.0}
 
 
 def test_pre_division_missing_cache_rejected():
@@ -142,7 +159,6 @@ def test_shapley_missing_entry_rejected():
 
 
 def test_unconverged_pre_solve_flags_every_entry(five_players):
-    from fairdiv import SolverConfig
     cramped = SolverConfig(epsilon=1e-9, max_iterations=3)
     system = pre_division_weights(five_players, config=cramped, cells=256)
     assert not system.converged

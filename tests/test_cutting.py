@@ -4,7 +4,8 @@ import pytest
 from fairdiv import (DensitySpec, Grid, SolverConfig, cutting_plane_value,
                      maxsum_partition, weighted_problem)
 from fairdiv.cutting import _master_lp
-from helpers import cell_lp_value, master_lp_value, random_problem
+from helpers import (cell_lp_value, master_lp_value, random_density,
+                     random_problem)
 
 #: the cell LP runs under HiGHS's default tolerances
 LP_TOL = 1e-7
@@ -26,6 +27,31 @@ def test_bracket_contains_cell_lp_value():
             converged += 1
             assert res.width < eps
     assert converged >= 45
+
+
+def test_shares_are_an_equitable_partition():
+    # singleton problems, as behind pre-division weights: the lambda mix of
+    # the held assignments splits every cell exactly, and its value vector
+    # is equitable at the cell-LP value
+    rng = np.random.default_rng(303)
+    eps = 1e-9
+    converged = 0
+    for _ in range(30):
+        n = int(rng.integers(2, 6))
+        cells = int(rng.choice([8, 16, 32, 64]))
+        players = [random_density(rng) for _ in range(n)]
+        problem = weighted_problem(players, [(i,) for i in range(n)],
+                                   [1.0] * n, Grid(cells))
+        res = cutting_plane_value(problem, SolverConfig(epsilon=eps))
+        shares = res.shares
+        assert (shares >= 0.0).all()
+        assert np.abs(shares.sum(axis=0) - 1.0).max() <= 1e-12
+        if res.converged:
+            converged += 1
+            values = (shares * problem.cell_values).sum(axis=1)
+            assert values.max() - values.min() < 1e-12
+            assert abs(values.mean() - cell_lp_value(problem)) <= eps
+    assert converged >= 27
 
 
 def test_bracket_matches_known_competitive_value(competitive_problem):
