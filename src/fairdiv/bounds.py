@@ -8,27 +8,9 @@ height, which is a certified lower bound at least min_j u_j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .partition import PvvResult
-
-
-@dataclass(frozen=True)
-class BoundPair:
-    lower: float
-    upper: float
-    witness_alpha: np.ndarray
-    witness_u: np.ndarray
-
-    def __post_init__(self):
-        if not (0.0 <= self.lower <= self.upper):
-            raise ValueError("need 0 <= lower <= upper")
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
 
 def upper_bound(pvv: PvvResult) -> float:
@@ -52,9 +34,3 @@ def lower_bound(pvv: PvvResult, totals) -> float:
     denom = 1.0 + np.sum((u[h] - u[rest]) / totals[rest])
     return float(u[h] / denom)
 
-
-def bound_pair(pvv: PvvResult, totals) -> BoundPair:
-    return BoundPair(lower=lower_bound(pvv, totals),
-                     upper=upper_bound(pvv),
-                     witness_alpha=pvv.alpha,
-                     witness_u=pvv.u)

@@ -5,12 +5,15 @@ weights did not converge (partial outputs are still written, flagged), 4
 invalid configuration or a problem the library rejects, 5 internal error (a
 library ``RuntimeError``: a bug, not a property of the problem).
 
-Game values (``game``, ``shapley``) and pre-division weights (``--weights
-pre``) come from the cutting-plane solver, which has no step rule;
-``--step-scale`` and ``--clip-k`` tune the projected subgradient method
-behind ``solve``, ``partition`` and ``trace`` only.  ``--max-iter`` caps
-every solve of a run, the Kelley iterations of the pre-division pre-solve
-included, and pre-division weights are computed on the run's grid.
+The ``solve`` bracket, game values (``game``, ``shapley``) and pre-division
+weights (``--weights pre``) come from the cutting-plane solver, which has no
+step rule; ``--step-scale`` and ``--clip-k`` tune the paper's projected
+subgradient method behind ``partition`` and ``trace`` only, and every other
+command rejects them.  ``--max-iter`` caps every solve of a run, the Kelley
+iterations of the pre-division pre-solve included, and pre-division weights
+are computed on the run's grid.  ``--weights``, else the file's ``"card"``
+or ``"pre"``, picks the weight system; ``game`` and ``shapley`` compute both
+when neither names one.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from dataclasses import replace
 from .coalitions import (PRE_SOLVE_CONFIG, GameTable, WeightSystem,
                          cardinality_weights, full_game, game_value,
                          pre_division_weights, shapley, weight_of)
+from .cutting import cutting_plane_value
 from .measures import Grid
 from .partition import WeightedProblem, weighted_problem
 from .problemfile import (MAX_GRID_CELLS, Problem, ProblemFormatError,
@@ -39,6 +43,9 @@ EXIT_CONFIG = 4
 EXIT_INTERNAL = 5
 
 COMMANDS = ("solve", "partition", "game", "shapley", "trace")
+#: the commands that run the paper's projected subgradient method, the only
+#: ones that take its step-rule flags
+STEP_RULE_COMMANDS = ("partition", "trace")
 
 
 class ConfigError(ValueError):
@@ -61,9 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, dest="grid_cells", metavar="GRID",
                    help="grid cells override")
     p.add_argument("--step-scale", type=float,
-                   help="base step scale (solve, partition, trace)")
+                   help="base step scale (partition, trace)")
     p.add_argument("--clip-k", type=int,
-                   help="interiority clip constant (solve, partition, trace)")
+                   help="interiority clip constant (partition, trace)")
     p.add_argument("--max-iter", type=int, help="iteration cap")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv",
@@ -106,13 +113,13 @@ def _given(**fields) -> dict:
     return {k: v for k, v in fields.items() if v is not None}
 
 
-def _solver_config(spec: Namespace, for_game: bool = False) -> SolverConfig:
-    if for_game:
+def _solver_config(spec: Namespace) -> SolverConfig:
+    if spec.command not in STEP_RULE_COMMANDS:
         for flag, value in (("--step-scale", spec.step_scale),
                             ("--clip-k", spec.clip_k)):
             if value is not None:
-                raise ConfigError(f"{flag} applies only to solve, partition "
-                                  "and trace")
+                raise ConfigError(f"{flag} applies only to "
+                                  + " and ".join(STEP_RULE_COMMANDS))
     base = SolverConfig()
     try:
         rule = replace(base.step_rule, **_given(scale=spec.step_scale,
@@ -147,14 +154,21 @@ def _weight_system(spec: Namespace, problem: Problem,
                                 cells=_grid(spec, problem).cell_count)
 
 
+def _weight_choice(spec: Namespace, problem: Problem) -> str | None:
+    """``--weights``, else the file's ``"card"``/``"pre"``, else None."""
+    if spec.weights:
+        return spec.weights
+    return problem.weights if isinstance(problem.weights, str) else None
+
+
 def _structure_problem(spec: Namespace, problem: Problem
                        ) -> tuple[WeightedProblem, bool]:
     """The weighted problem behind solve, partition and trace, and whether
-    its weights converged; ``--weights`` beats the file, default all ones."""
+    its weights converged; a chosen weight system beats the file's list,
+    default all ones."""
     grid = _grid(spec, problem)
     structure = _parse_structure(spec.coalitions, problem.n)
-    choice = spec.weights or (problem.weights
-                              if isinstance(problem.weights, str) else None)
+    choice = _weight_choice(spec, problem)
     converged = True
     if choice is not None:
         system = _weight_system(spec, problem, choice)
@@ -212,7 +226,7 @@ def _emit_records(spec: Namespace, records: list[dict]) -> None:
 
 def _cmd_solve(spec: Namespace, problem: Problem) -> int:
     wp, weights_converged = _structure_problem(spec, problem)
-    res = solve_value(wp, _solver_config(spec))
+    res = cutting_plane_value(wp, _solver_config(spec))
     _emit(spec, f"[{fmt_num(res.lower)}, {fmt_num(res.upper)}]\n")
     return EXIT_OK if res.converged and weights_converged else EXIT_UNCONVERGED
 
@@ -239,13 +253,16 @@ def _cmd_partition(spec: Namespace, problem: Problem) -> int:
 
 
 def _systems(spec: Namespace, problem: Problem) -> dict:
-    names = [spec.weights] if spec.weights else ["card", "pre"]
+    """The chosen weight system, else both; a list of weights in the file
+    is per structure and so chooses none."""
+    choice = _weight_choice(spec, problem)
+    names = [choice] if choice else ["card", "pre"]
     return {name: _weight_system(spec, problem, name) for name in names}
 
 
 def _game_tables(spec: Namespace, problem: Problem) -> dict[str, GameTable]:
     grid = _grid(spec, problem)
-    config = _solver_config(spec, for_game=True)
+    config = _solver_config(spec)
     return {name: full_game(problem.densities, system, config=config,
                             grid=grid)
             for name, system in _systems(spec, problem).items()}
@@ -261,7 +278,7 @@ def _cmd_game(spec: Namespace, problem: Problem) -> int:
     else:
         s = _parse_players(spec.subset, n)
         grid = _grid(spec, problem)
-        config = _solver_config(spec, for_game=True)
+        config = _solver_config(spec)
         subsets = [s]
         entries = {name: {frozenset(s): game_value(
             problem.densities, s, system, config=config, grid=grid)}

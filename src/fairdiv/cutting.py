@@ -37,8 +37,7 @@ import numpy as np
 
 from .bounds import lower_bound
 from .partition import WeightedProblem, maxsum_partition
-from .subgradient import (_EXACT_STOP_TOL, SolveResult, SolverConfig,
-                          _initial_alpha)
+from .subgradient import _EXACT_STOP_TOL, SolveResult, SolverConfig
 
 #: reduced costs, pivots and ratio ties below this count as zero; the
 #: tableau is scaled so its largest column entry is 1
@@ -148,7 +147,7 @@ def cutting_plane_value(problem: WeightedProblem,
     their lambda-mix ``shares``.
     """
     totals = problem.totals
-    pvv = maxsum_partition(problem, _initial_alpha(problem, config))
+    pvv = maxsum_partition(problem, np.full(problem.m, 1.0 / problem.m))
     best = pvv
     lb = lower_bound(pvv, totals)
     columns = np.vstack([np.diag(totals), pvv.u])

@@ -47,6 +47,16 @@ class Problem:
         return len(self.players)
 
 
+def _reject_bools(obj: dict, fields: tuple[str, ...]) -> None:
+    """JSON ``true``/``false`` load as Python bools, which are the ints 1
+    and 0; no numeric field of the schema takes one."""
+    for name in fields:
+        value = obj[name]
+        if any(isinstance(v, bool)
+               for v in (value if isinstance(value, list) else [value])):
+            raise ValueError(f"'{name}' must hold numbers, not true/false")
+
+
 def _density_from_json(obj, where: str) -> DensitySpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ProblemFormatError(f"{where}: density needs a 'kind' field")
@@ -55,8 +65,10 @@ def _density_from_json(obj, where: str) -> DensitySpec:
         if kind == "uniform":
             return DensitySpec.uniform()
         if kind == "beta":
+            _reject_bools(obj, ("a", "b"))
             return DensitySpec.beta(obj["a"], obj["b"])
         if kind == "piecewise":
+            _reject_bools(obj, ("breakpoints", "values"))
             return DensitySpec.piecewise(obj["breakpoints"], obj["values"])
     except KeyError as e:
         raise ProblemFormatError(f"{where}: missing density field {e}") from None
@@ -91,7 +103,8 @@ def problem_from_json(doc) -> Problem:
                                   density=_density_from_json(entry["density"],
                                                              where)))
     grid_cells = doc.get("grid_cells", 4096)
-    if not isinstance(grid_cells, int) or grid_cells < 1:
+    if (isinstance(grid_cells, bool) or not isinstance(grid_cells, int)
+            or grid_cells < 1):
         raise ProblemFormatError("'grid_cells' must be a positive integer")
     if grid_cells > MAX_GRID_CELLS:
         raise ProblemFormatError(
@@ -102,7 +115,7 @@ def problem_from_json(doc) -> Problem:
             if weights not in ("card", "pre"):
                 raise ProblemFormatError("'weights' string must be 'card' or 'pre'")
         elif isinstance(weights, list):
-            if any(not isinstance(w, (int, float))
+            if any(isinstance(w, bool) or not isinstance(w, (int, float))
                    or not 0 < w <= sys.float_info.max for w in weights):
                 raise ProblemFormatError(
                     "'weights' entries must be finite positive numbers")

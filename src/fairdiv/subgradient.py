@@ -29,27 +29,22 @@ _EXACT_STOP_TOL = 1e-12  # treat g == lb as landing on the optimum
 class StepRule:
     """Diminishing base step with interiority clipping.
 
-    ``kind`` picks the base sequence: scale/(t+1) or scale/sqrt(t+1); both
-    vanish while their series diverge.  ``clip`` is the safety margin
-    constant: steps shrink to (clip-1)/clip of the largest interior-safe step.
+    The base step scale/(t+1) vanishes while its series diverges.  ``clip``
+    is the safety margin constant: steps shrink to (clip-1)/clip of the
+    largest interior-safe step.
     """
 
-    kind: str = "harmonic"
     scale: float = 0.5
     clip: int = 10
 
     def __post_init__(self):
-        if self.kind not in ("harmonic", "sqrt"):
-            raise ValueError("step kind must be 'harmonic' or 'sqrt'")
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError("step scale must be finite and positive")
         if self.clip < 2:
             raise ValueError("clip constant must be an integer >= 2")
 
     def base(self, t: int) -> float:
-        if self.kind == "harmonic":
-            return self.scale / (t + 1)
-        return self.scale / math.sqrt(t + 1)
+        return self.scale / (t + 1)
 
 
 @dataclass(frozen=True)
@@ -57,7 +52,6 @@ class SolverConfig:
     epsilon: float = 1e-3
     max_iterations: int = 50_000
     step_rule: StepRule = StepRule()
-    initial_alpha: tuple[float, ...] | None = None
     record_trace: bool = False
 
     def __post_init__(self):
@@ -65,9 +59,6 @@ class SolverConfig:
             raise ValueError("epsilon must be finite and positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.initial_alpha is not None and any(
-                a <= 0 for a in self.initial_alpha):
-            raise ValueError("initial alpha must be strictly interior")
 
 
 def clipped_step(t: int, alpha: np.ndarray, u: np.ndarray,
@@ -168,20 +159,11 @@ class SolveResult:
         return self.upper - self.lower
 
 
-def _initial_alpha(problem: WeightedProblem, config: SolverConfig) -> np.ndarray:
-    if config.initial_alpha is None:
-        return np.full(problem.m, 1.0 / problem.m)
-    alpha = np.asarray(config.initial_alpha, dtype=float)
-    if alpha.shape != (problem.m,):
-        raise ValueError("initial alpha size does not match the structure")
-    return alpha
-
-
 def _solve(problem: WeightedProblem, config: SolverConfig,
            equitable: bool) -> SolveResult:
     rule = config.step_rule
     totals = problem.totals
-    alpha = _initial_alpha(problem, config)
+    alpha = np.full(problem.m, 1.0 / problem.m)
 
     pvv = maxsum_partition(problem, alpha)
     ub = pvv.g_value

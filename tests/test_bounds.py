@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairdiv import (BoundPair, Grid, SolverConfig, bound_pair, lower_bound,
-                     maxsum_partition, solve_partition, upper_bound)
+from fairdiv import (Grid, SolverConfig, lower_bound, maxsum_partition,
+                     solve_partition, upper_bound)
 from fairdiv.partition import Allocation, PvvResult
 from helpers import hull_lower_bound, random_alpha, random_problem
 
@@ -73,27 +73,12 @@ def test_tie_at_max_coordinate():
     assert lower_bound(pvv, [0.9, 1.3]) == pytest.approx(0.4, abs=1e-15)
 
 
-def test_bound_pair_ordering():
-    with pytest.raises(ValueError):
-        BoundPair(lower=0.6, upper=0.5,
-                  witness_alpha=np.array([1.0]), witness_u=np.array([0.5]))
-
-
-def test_bound_pair_from_pvv():
-    rng = np.random.default_rng(5)
-    problem = random_problem(rng, cells=64)
-    pvv = maxsum_partition(problem, random_alpha(rng, problem.m))
-    pair = bound_pair(pvv, problem.totals)
-    assert pair.lower <= pair.upper
-    assert pair.width >= 0.0
-    np.testing.assert_array_equal(pair.witness_u, pvv.u)
-
-
 def test_tightness_near_equality(competitive_problem):
     # once the value vector is nearly equal, one maxsum result pins the value
     # to within a small multiple of the coordinate spread
     res = solve_partition(competitive_problem, SolverConfig(epsilon=1e-3))
     assert res.converged
     spread = res.pvv.spread
-    pair = bound_pair(res.pvv, competitive_problem.totals)
-    assert pair.width < 10 * spread
+    width = (upper_bound(res.pvv)
+             - lower_bound(res.pvv, competitive_problem.totals))
+    assert width < 10 * spread

@@ -118,6 +118,37 @@ def test_game_full_table_both_systems(disjoint_file, capsys):
     assert lines[3].startswith('"1,2",2.0,2.0')
 
 
+@pytest.mark.parametrize("command,header", [
+    ("game", "coalition,eta_card,converged"),
+    ("shapley", "player,sv_card"),
+])
+def test_file_weight_system_picks_the_columns(disjoint_file, capsys, command,
+                                              header):
+    with open(disjoint_file) as f:
+        doc = json.load(f)
+    doc["weights"] = "card"
+    with open(disjoint_file, "w") as f:
+        json.dump(doc, f)
+    rc = main(["--problem", disjoint_file, "--command", command])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == header
+
+
+def test_solve_matches_game_subset(capsys):
+    # both run the cutting-plane solver; eta({3,5}) = w({3,5}) * value
+    rc = main(["--problem", BUNDLED_PROBLEM, "--command", "solve",
+               "--coalitions", "3,5|1|2|4", "--weights", "card"])
+    assert rc == EXIT_OK
+    lo, hi = (float(tok) for tok in
+              capsys.readouterr().out.strip().strip("[]").split(","))
+    assert hi - lo < 1e-3
+    rc = main(["--problem", BUNDLED_PROBLEM, "--command", "game",
+               "--subset", "3,5", "--weights", "card"])
+    assert rc == EXIT_OK
+    eta = capsys.readouterr().out.splitlines()[1].split(",")[-2]
+    assert fmt_num(2 * 0.5 * (lo + hi)) == eta
+
+
 def test_shapley_csv(disjoint_file, capsys):
     rc = main(["--problem", disjoint_file, "--command", "shapley",
                "--weights", "card"])
@@ -210,11 +241,12 @@ def test_invalid_epsilon_exit_code(one_player_file, capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--epsilon", "--step-scale"])
+@pytest.mark.parametrize("command,flag", [("solve", "--epsilon"),
+                                          ("trace", "--step-scale")])
 @pytest.mark.parametrize("value", ["nan", "inf"])
-def test_non_finite_solver_value_exit_code(one_player_file, capsys, flag,
-                                           value):
-    rc = main(["--problem", one_player_file, "--command", "solve",
+def test_non_finite_solver_value_exit_code(one_player_file, capsys, command,
+                                           flag, value):
+    rc = main(["--problem", one_player_file, "--command", command,
                flag, value])
     assert rc == EXIT_CONFIG
     assert "must be finite and positive" in capsys.readouterr().err
@@ -282,13 +314,13 @@ def test_grid_override(one_player_file, capsys):
 def test_solver_override_flags(capsys):
     # the bracket floor scales with cell width, so the grid must stay fine
     # enough for the requested epsilon
-    rc = main(["--problem", BUNDLED_PROBLEM, "--command", "solve",
+    rc = main(["--problem", BUNDLED_PROBLEM, "--command", "trace",
                "--grid", "2048", "--step-scale", "0.3", "--clip-k", "5",
                "--max-iter", "20000", "--epsilon", "5e-3"])
     assert rc == EXIT_OK
-    out = capsys.readouterr().out.strip()
-    lo, hi = (float(tok) for tok in out.strip("[]").split(","))
-    assert hi - lo < 5e-3
+    last = capsys.readouterr().out.splitlines()[-1].split(",")
+    ub, lb = float(last[1]), float(last[2])
+    assert ub - lb < 5e-3
 
 
 @pytest.mark.parametrize("cells", [0, MAX_GRID_CELLS + 1, 10 ** 14])
@@ -299,6 +331,17 @@ def test_grid_override_out_of_range_exit_code(one_player_file, capsys, cells):
     err = capsys.readouterr().err
     assert f"grid cells must be in 1..{MAX_GRID_CELLS}" in err
     assert "Traceback" not in err
+
+
+def test_boolean_grid_cells_exit_code(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({
+        "players": [{"density": {"kind": "uniform"}}],
+        "grid_cells": True,
+    }))
+    rc = main(["--problem", str(path), "--command", "solve"])
+    assert rc == EXIT_PARSE
+    _one_line_error(capsys.readouterr().err)
 
 
 def test_oversized_grid_in_file_exit_code(tmp_path, capsys):
@@ -313,7 +356,7 @@ def test_oversized_grid_in_file_exit_code(tmp_path, capsys):
 
 
 def test_invalid_clip_k_exit_code(one_player_file, capsys):
-    rc = main(["--problem", one_player_file, "--command", "solve",
+    rc = main(["--problem", one_player_file, "--command", "trace",
                "--clip-k", "1"])
     assert rc == EXIT_CONFIG
 
@@ -351,14 +394,14 @@ def beta_uniform_file(tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("command", ["game", "shapley"])
+@pytest.mark.parametrize("command", ["solve", "game", "shapley"])
 @pytest.mark.parametrize("flag", [["--step-scale", "0.3"], ["--clip-k", "5"]])
-def test_step_flags_rejected_for_game_commands(disjoint_file, capsys,
-                                               command, flag):
+def test_step_flags_rejected_for_kelley_commands(disjoint_file, capsys,
+                                                 command, flag):
     rc = main(["--problem", disjoint_file, "--command", command,
                "--weights", "card"] + flag)
     assert rc == EXIT_CONFIG
-    assert (f"{flag[0]} applies only to solve, partition and trace"
+    assert (f"{flag[0]} applies only to partition and trace"
             in capsys.readouterr().err)
 
 
@@ -448,7 +491,7 @@ def test_library_value_error_exits_4(one_player_file, capsys, monkeypatch):
     def rejects(problem, config):
         raise ValueError("whole-cake coalition values must be positive")
 
-    monkeypatch.setattr("fairdiv.cli.solve_value", rejects)
+    monkeypatch.setattr("fairdiv.cli.cutting_plane_value", rejects)
     rc = main(["--problem", one_player_file, "--command", "solve"])
     assert rc == EXIT_CONFIG
     _one_line_error(capsys.readouterr().err)
@@ -470,7 +513,8 @@ def test_identical_players_split_pre_division_weights(tmp_path, capsys):
         '"1",0.5,true', '"2",0.5,true', '"1,2",1.0,true']
 
 
-@pytest.mark.parametrize("command", [["solve"], ["game", "--subset", "1"]])
+@pytest.mark.parametrize("command", [["solve"], ["game", "--subset", "1"],
+                                     ["trace"]])
 def test_internal_error_exits_5(capsys, monkeypatch, command):
     def pivot_cap(columns):
         raise RuntimeError("master LP did not reach an optimum")

@@ -85,6 +85,19 @@ def test_malformed_json_reports_line(tmp_path):
      % ("0" * 400), "too large"),
     ('{"players": [{"density": {"kind": "uniform"}}], "weights": [1%s]}'
      % ("0" * 400), "finite"),
+    # JSON true/false load as the ints 1/0; no numeric field takes them
+    ('{"players": [{"density": {"kind": "uniform"}}], "grid_cells": true}',
+     "grid_cells"),
+    ('{"players": [{"density": {"kind": "beta", "a": true, "b": 2}}]}',
+     "'a' must hold numbers"),
+    ('{"players": [{"density": {"kind": "beta", "a": 2, "b": false}}]}',
+     "'b' must hold numbers"),
+    ('{"players": [{"density": {"kind": "piecewise", "breakpoints": [0, true],'
+     ' "values": [1]}}]}', "'breakpoints' must hold numbers"),
+    ('{"players": [{"density": {"kind": "piecewise", "breakpoints": [0, 1],'
+     ' "values": [true]}}]}', "'values' must hold numbers"),
+    ('{"players": [{"density": {"kind": "uniform"}}], "weights": [true]}',
+     "weights"),
 ])
 def test_schema_violations(tmp_path, doc, message):
     path = tmp_path / "bad.json"

@@ -8,15 +8,12 @@ from helpers import golden_section_min, random_problem
 
 
 def test_step_rule_sequences():
-    harmonic = StepRule(kind="harmonic", scale=2.0)
-    assert harmonic.base(0) == 2.0
-    assert harmonic.base(3) == 0.5
-    sqrt = StepRule(kind="sqrt", scale=2.0)
-    assert sqrt.base(3) == 1.0
+    rule = StepRule(scale=2.0)
+    assert rule.base(0) == 2.0
+    assert rule.base(3) == 0.5
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(kind="geometric"),
     dict(scale=0.0),
     dict(scale=-1.0),
     dict(scale=float("nan")),
@@ -29,7 +26,7 @@ def test_step_rule_validation(kwargs):
 
 
 def test_clipped_step_no_active_constraint():
-    rule = StepRule(kind="harmonic", scale=10.0, clip=2)
+    rule = StepRule(scale=10.0, clip=2)
     alpha = np.array([0.5, 0.5])
     u = np.array([0.3, 0.3])
     assert clipped_step(0, alpha, u, rule) == 10.0
@@ -37,14 +34,14 @@ def test_clipped_step_no_active_constraint():
 
 def test_clipped_step_hand_example():
     # tau = (1/2) * 2*0.5 / (1*1 - 0) = 0.5, below the base step of 10
-    rule = StepRule(kind="harmonic", scale=10.0, clip=2)
+    rule = StepRule(scale=10.0, clip=2)
     s = clipped_step(0, np.array([0.5, 0.5]), np.array([1.0, 0.0]), rule)
     assert s == pytest.approx(0.5, abs=1e-15)
 
 
 def test_clipped_step_keeps_iterates_interior():
     rng = np.random.default_rng(17)
-    rule = StepRule(kind="harmonic", scale=5.0, clip=3)
+    rule = StepRule(scale=5.0, clip=3)
     for t in range(50):
         m = int(rng.integers(2, 6))
         alpha = rng.dirichlet(np.ones(m)) * 0.98 + 0.02 / m
@@ -88,8 +85,6 @@ def test_solver_config_validation():
             SolverConfig(epsilon=epsilon)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolverConfig(initial_alpha=(1.0, 0.0))
 
 
 def test_single_coalition_converges_immediately():
@@ -233,11 +228,3 @@ def test_trace_csv_layout(competitive_problem):
                         "u_1,u_2,u_3,u_4,u_5")
     assert len(lines) == len(res.trace) + 1
     assert lines[1].startswith("0,")
-
-
-def test_custom_initial_alpha(competitive_problem):
-    config = SolverConfig(epsilon=1e-3,
-                          initial_alpha=(0.3, 0.2, 0.2, 0.2, 0.1))
-    res = solve_value(competitive_problem, config)
-    assert res.converged
-    assert res.lower <= 0.403553 + 1e-6 and res.upper >= 0.403553 - 1e-6
