@@ -14,12 +14,18 @@ iterations of the pre-division pre-solve included, and pre-division weights
 are computed on the run's grid.  ``--weights``, else the file's ``"card"``
 or ``"pre"``, picks the weight system; ``game`` and ``shapley`` compute both
 when neither names one.
+
+``solve`` prints one bracket line, ``[lb, ub]``, and rejects ``--format
+json``.  Every table (``partition`` cells, ``game``, ``shapley`` and the
+per-iterate ``trace``) goes through one record writer: CSV headed by the
+record keys, strings quoted and numbers in ``fmt_num``, or a JSON list of
+the same records.  ``partition --format json`` instead maps each coalition
+to its merged intervals.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import itertools
 import json
 import sys
@@ -205,6 +211,10 @@ def _emit(spec: Namespace, text: str) -> None:
 
 
 def _csv_field(value) -> str:
+    # floats are most fields, so test them first; bool, int and str are not
+    # floats, so the order does not change the bytes
+    if isinstance(value, float):
+        return fmt_num(value)
     if isinstance(value, str):
         return f'"{value}"'
     if isinstance(value, bool):
@@ -220,11 +230,14 @@ def _emit_records(spec: Namespace, records: list[dict]) -> None:
         _emit(spec, json.dumps(records, indent=2) + "\n")
         return
     lines = [",".join(records[0])]
-    lines += [",".join(_csv_field(v) for v in rec.values()) for rec in records]
+    lines += [",".join(map(_csv_field, rec.values())) for rec in records]
     _emit(spec, "\n".join(lines) + "\n")
 
 
 def _cmd_solve(spec: Namespace, problem: Problem) -> int:
+    if spec.out_format == "json":
+        raise ConfigError("--format json applies only to partition, game, "
+                          "shapley and trace")
     wp, weights_converged = _structure_problem(spec, problem)
     res = cutting_plane_value(wp, _solver_config(spec))
     _emit(spec, f"[{fmt_num(res.lower)}, {fmt_num(res.upper)}]\n")
@@ -242,13 +255,12 @@ def _cmd_partition(spec: Namespace, problem: Problem) -> int:
         }
         _emit(spec, json.dumps(labeled, indent=2, sort_keys=True) + "\n")
     else:
-        buf = io.StringIO()
-        buf.write("cell_index,x_left,x_right,coalition\n")
-        edges = wp.grid.edges
-        for k, j in enumerate(alloc.assignment):
-            buf.write(f"{k},{fmt_num(edges[k])},{fmt_num(edges[k + 1])},"
-                      f"{_coalition_label(wp.structure[int(j)])}\n")
-        _emit(spec, buf.getvalue())
+        labels = [_coalition_label(s) for s in wp.structure]
+        edges = wp.grid.edges.tolist()
+        _emit_records(spec, [
+            {"cell_index": k, "x_left": edges[k], "x_right": edges[k + 1],
+             "coalition": labels[j]}
+            for k, j in enumerate(alloc.assignment.tolist())])
     return EXIT_OK if res.converged and weights_converged else EXIT_UNCONVERGED
 
 
@@ -307,7 +319,15 @@ def _cmd_shapley(spec: Namespace, problem: Problem) -> int:
 def _cmd_trace(spec: Namespace, problem: Problem) -> int:
     wp, weights_converged = _structure_problem(spec, problem)
     res = solve_value(wp, replace(_solver_config(spec), record_trace=True))
-    _emit(spec, res.trace.to_csv_string())
+    tr = res.trace
+    keys = (["t", "ub", "lb", "g", "vbar", "step"]
+            + [f"alpha_{j + 1}" for j in range(wp.m)]
+            + [f"u_{j + 1}" for j in range(wp.m)])
+    _emit_records(spec, [
+        dict(zip(keys, (t, ub, lb, g, vbar, step, *alpha.tolist(),
+                        *u.tolist())))
+        for t, ub, lb, g, vbar, step, alpha, u in zip(
+            tr.t, tr.ub, tr.lb, tr.g, tr.vbar, tr.step, tr.alpha, tr.u)])
     return EXIT_OK if res.converged and weights_converged else EXIT_UNCONVERGED
 
 

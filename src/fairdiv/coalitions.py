@@ -153,7 +153,7 @@ def _entry(system: WeightSystem, coalition, res) -> GameEntry:
 
 def game_value(players, coalition, system: WeightSystem,
                config: SolverConfig | None = None,
-               grid: Grid = Grid(4096), table=None) -> GameEntry:
+               grid: Grid = Grid(4096)) -> GameEntry:
     """w(S) times the maxmin value of S versus the remaining singletons."""
     n = len(players)
     s = tuple(sorted(set(coalition)))
@@ -162,8 +162,7 @@ def game_value(players, coalition, system: WeightSystem,
     if config is None:
         config = default_game_config()
     structure = versus_singletons(s, n)
-    if table is None:
-        table = coalition_table(players, structure, grid)
+    table = coalition_table(players, structure, grid)
     res = cutting_plane_value(_structure_problem(structure, system, table),
                               config)
     return _entry(system, s, res)

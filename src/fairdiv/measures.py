@@ -143,10 +143,6 @@ class Grid:
     def midpoints(self) -> np.ndarray:
         return (np.arange(self.cell_count) + 0.5) / self.cell_count
 
-    @property
-    def width(self) -> float:
-        return 1.0 / self.cell_count
-
 
 def cell_masses(spec: DensitySpec, grid: Grid) -> np.ndarray:
     """Per-cell masses as CDF differences; they sum to 1 up to rounding."""

@@ -47,14 +47,16 @@ class Problem:
         return len(self.players)
 
 
-def _reject_bools(obj: dict, fields: tuple[str, ...]) -> None:
-    """JSON ``true``/``false`` load as Python bools, which are the ints 1
-    and 0; no numeric field of the schema takes one."""
+def _require_numbers(obj: dict, fields: tuple[str, ...]) -> None:
+    """Numeric fields hold JSON numbers only: a quoted string is not a
+    number, and ``true``/``false`` load as Python bools, which are the ints
+    1 and 0."""
     for name in fields:
         value = obj[name]
-        if any(isinstance(v, bool)
+        if any(isinstance(v, bool) or not isinstance(v, (int, float))
                for v in (value if isinstance(value, list) else [value])):
-            raise ValueError(f"'{name}' must hold numbers, not true/false")
+            raise ProblemFormatError(
+                f"'{name}' must hold numbers, not strings or true/false")
 
 
 def _density_from_json(obj, where: str) -> DensitySpec:
@@ -65,10 +67,10 @@ def _density_from_json(obj, where: str) -> DensitySpec:
         if kind == "uniform":
             return DensitySpec.uniform()
         if kind == "beta":
-            _reject_bools(obj, ("a", "b"))
+            _require_numbers(obj, ("a", "b"))
             return DensitySpec.beta(obj["a"], obj["b"])
         if kind == "piecewise":
-            _reject_bools(obj, ("breakpoints", "values"))
+            _require_numbers(obj, ("breakpoints", "values"))
             return DensitySpec.piecewise(obj["breakpoints"], obj["values"])
     except KeyError as e:
         raise ProblemFormatError(f"{where}: missing density field {e}") from None
@@ -115,8 +117,8 @@ def problem_from_json(doc) -> Problem:
             if weights not in ("card", "pre"):
                 raise ProblemFormatError("'weights' string must be 'card' or 'pre'")
         elif isinstance(weights, list):
-            if any(isinstance(w, bool) or not isinstance(w, (int, float))
-                   or not 0 < w <= sys.float_info.max for w in weights):
+            _require_numbers(doc, ("weights",))
+            if any(not 0 < w <= sys.float_info.max for w in weights):
                 raise ProblemFormatError(
                     "'weights' entries must be finite positive numbers")
             weights = tuple(float(w) for w in weights)

@@ -13,7 +13,6 @@ epsilon and returns the best-spread iterate seen.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -111,29 +110,6 @@ class IterationTrace:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def to_csv(self, out) -> None:
-        m = len(self.alpha[0]) if self.alpha else 0
-        cols = (["t", "ub", "lb", "g", "vbar", "step"]
-                + [f"alpha_{j + 1}" for j in range(m)]
-                + [f"u_{j + 1}" for j in range(m)])
-        out.write(",".join(cols) + "\n")
-        for i in range(len(self)):
-            row = [str(self.t[i])]
-            row += [_fmt(v) for v in (self.ub[i], self.lb[i], self.g[i],
-                                      self.vbar[i], self.step[i])]
-            row += [_fmt(v) for v in self.alpha[i]]
-            row += [_fmt(v) for v in self.u[i]]
-            out.write(",".join(row) + "\n")
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
 
 
 @dataclass(frozen=True)

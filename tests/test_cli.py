@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -88,7 +90,22 @@ def test_partition_csv_deterministic(disjoint_file, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     header, first = out1.read_text().splitlines()[:2]
     assert header == "cell_index,x_left,x_right,coalition"
-    assert first == "0,0.0,0.015625,1"
+    assert first == '0,0.0,0.015625,"1"'
+
+
+def test_partition_csv_quotes_coalition_labels(capsys):
+    rc = main(["--problem", BUNDLED_PROBLEM, "--command", "partition",
+               "--coalitions", "3,5|1|2|4", "--grid", "64",
+               "--weights", "card"])
+    assert rc in (EXIT_OK, EXIT_UNCONVERGED)
+    reader = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    rows = list(reader)
+    header = ["cell_index", "x_left", "x_right", "coalition"]
+    assert reader.fieldnames == header
+    assert len(rows) == 64
+    for row in rows:
+        assert list(row) == header and None not in row.values()
+        assert row["coalition"] in {"3,5", "1", "2", "4"}
 
 
 def test_partition_json_intervals(disjoint_file, capsys):
@@ -206,6 +223,34 @@ def test_trace_csv(disjoint_file, capsys):
     assert lines[0] == "t,ub,lb,g,vbar,step,alpha_1,alpha_2,u_1,u_2"
 
 
+def test_trace_csv_layout(capsys):
+    # 10 capped iterations leave the bracket open: iterates t = 0..10
+    rc = main(["--problem", BUNDLED_PROBLEM, "--command", "trace",
+               "--max-iter", "10"])
+    assert rc == EXIT_UNCONVERGED
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("t,ub,lb,g,vbar,step,"
+                        "alpha_1,alpha_2,alpha_3,alpha_4,alpha_5,"
+                        "u_1,u_2,u_3,u_4,u_5")
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        str(t) for t in range(11)]
+    assert lines[1].startswith("0,")
+
+
+def test_trace_json_matches_csv(capsys):
+    argv = ["--problem", BUNDLED_PROBLEM, "--command", "trace",
+            "--grid", "256", "--max-iter", "30"]
+    rc_csv = main(argv)
+    reader = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    csv_rows = list(reader)
+    rc_json = main(argv + ["--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc_json == rc_csv
+    assert isinstance(doc, list) and len(doc) == len(csv_rows)
+    assert all(list(row) == reader.fieldnames for row in doc)
+    assert [row["t"] for row in doc] == [int(r["t"]) for r in csv_rows]
+
+
 def test_shapley_bundled_instance_matches_reference(capsys):
     # reference values for the bundled instance; 1-based player order
     want = [0.465, 0.451, 0.507, 0.491, 0.563]
@@ -218,6 +263,35 @@ def test_shapley_bundled_instance_matches_reference(capsys):
         player, value = line.split(",")
         assert int(player) == i + 1
         assert float(value) == pytest.approx(want[i], abs=1e-2)
+
+
+def test_solve_rejects_json_format(one_player_file, capsys):
+    rc = main(["--problem", one_player_file, "--command", "solve",
+               "--format", "json"])
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_line_error(captured.err)
+    assert ("--format json applies only to partition, game, shapley and "
+            "trace" in captured.err)
+
+
+def test_quoted_numbers_exit_code(tmp_path, capsys):
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps({
+        "players": [
+            {"density": {"kind": "beta", "a": "2", "b": "5"}},
+            {"density": {"kind": "piecewise",
+                         "breakpoints": ["0", "0.5", "1"],
+                         "values": ["2", "0"]}},
+        ],
+        "grid_cells": 64,
+    }))
+    rc = main(["--problem", str(path), "--command", "solve"])
+    assert rc == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_line_error(captured.err)
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

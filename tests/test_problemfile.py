@@ -98,6 +98,17 @@ def test_malformed_json_reports_line(tmp_path):
      ' "values": [true]}}]}', "'values' must hold numbers"),
     ('{"players": [{"density": {"kind": "uniform"}}], "weights": [true]}',
      "weights"),
+    # a quoted number is a JSON string, not a number
+    ('{"players": [{"density": {"kind": "beta", "a": "2", "b": 5}}]}',
+     "'a' must hold numbers"),
+    ('{"players": [{"density": {"kind": "beta", "a": 2, "b": "5"}}]}',
+     "'b' must hold numbers"),
+    ('{"players": [{"density": {"kind": "piecewise",'
+     ' "breakpoints": ["0", "0.5", "1"], "values": [2, 0]}}]}',
+     "'breakpoints' must hold numbers"),
+    ('{"players": [{"density": {"kind": "piecewise",'
+     ' "breakpoints": [0, 0.5, 1], "values": ["2", "0"]}}]}',
+     "'values' must hold numbers"),
 ])
 def test_schema_violations(tmp_path, doc, message):
     path = tmp_path / "bad.json"
