@@ -192,35 +192,46 @@ class MeasureTable:
         )
 
 
-def _coalition_row(specs, members, mids_f, edges_f, player_masses, grid):
+def _coalition_row(specs, members, mids_f, edges_f, player_masses, grid,
+                   split_masses):
     """Exact cell masses for one coalition.
 
     Within a cell the coalition density equals the density of whichever
     member dominates at the midpoint, so the cell mass is that member's
     exact mass.  Cells where the dominating member changes between the two
-    edges are split at the crossing point.
+    edges are split once, at the crossing of the two edge-dominant members;
+    a second change of dominance inside one cell is not resolved.  A split
+    cell's mass depends only on (left-dominant player, right-dominant
+    player, cell), so ``split_masses``, which the caller shares across the
+    rows of one table, holds it once per table under that key.
     """
     members = list(members)
-    sub_mid = mids_f[members]
-    sub_edge = edges_f[members]
-
-    arg_mid = sub_mid.argmax(axis=0)
-    arg_left = sub_edge[:, :-1].argmax(axis=0)
-    arg_right = sub_edge[:, 1:].argmax(axis=0)
+    arg_mid = mids_f[members].argmax(axis=0)
+    arg_edge = edges_f[members].argmax(axis=0)
+    arg_left, arg_right = arg_edge[:-1], arg_edge[1:]
 
     K = grid.cell_count
     masses = player_masses[np.asarray(members)[arg_mid], np.arange(K)]
 
     for k in np.nonzero(arg_left != arg_right)[0]:
-        ia, ib = members[arg_left[k]], members[arg_right[k]]
-        xl, xr = grid.edges[k], grid.edges[k + 1]
-        split = _crossing_point(specs[ia], specs[ib], xl, xr)
-        masses[k] = (density_cdf(specs[ia], split) - density_cdf(specs[ia], xl)) \
-            + (density_cdf(specs[ib], xr) - density_cdf(specs[ib], split))
+        key = (members[arg_left[k]], members[arg_right[k]], int(k))
+        mass = split_masses.get(key)
+        if mass is None:
+            mass = split_masses[key] = _split_cell_mass(specs, *key, grid)
+        masses[k] = mass
 
     # the exact coalition mass dominates each member's; clamp rounding noise
     masses = np.maximum(masses, player_masses[members].max(axis=0))
     return masses
+
+
+def _split_cell_mass(specs, ia, ib, k, grid) -> float:
+    """Mass of cell k with player ia dominating left of the crossing and ib
+    right of it."""
+    xl, xr = grid.edges[k], grid.edges[k + 1]
+    split = _crossing_point(specs[ia], specs[ib], xl, xr)
+    return (density_cdf(specs[ia], split) - density_cdf(specs[ia], xl)) \
+        + (density_cdf(specs[ib], xr) - density_cdf(specs[ib], split))
 
 
 def _crossing_point(spec_a, spec_b, xl, xr) -> float:
@@ -241,7 +252,11 @@ def coalition_table(players, subsets, grid: Grid) -> MeasureTable:
     """Build the measure table for the given coalitions of players.
 
     ``players`` is the list of DensitySpec, ``subsets`` a list of nonempty
-    coalitions (iterables of 0-based player indices).
+    coalitions (iterables of 0-based player indices).  A cell is split at
+    most once, at the crossing of its two edge-dominant members.  That split
+    mass depends only on the ordered pair and the cell, so it is computed
+    once per table, however many rows contain the pair, and every row reads
+    the same float.
     """
     subsets = [tuple(sorted(set(s))) for s in subsets]
     if not subsets:
@@ -260,8 +275,9 @@ def coalition_table(players, subsets, grid: Grid) -> MeasureTable:
     player_masses = np.vstack([cell_masses(p, grid) for p in players])
 
     masses = np.empty((len(subsets), grid.cell_count))
+    split_masses: dict[tuple[int, int, int], float] = {}
     for i, s in enumerate(subsets):
         masses[i] = _coalition_row(
-            players, s, mids_f, edges_f, player_masses, grid)
+            players, s, mids_f, edges_f, player_masses, grid, split_masses)
 
     return MeasureTable(grid=grid, coalitions=tuple(subsets), masses=masses)

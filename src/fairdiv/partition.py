@@ -90,15 +90,15 @@ class Allocation:
 
     def intervals(self) -> dict[int, list[tuple[float, float]]]:
         """Merged [a,b] intervals per coalition index."""
+        assign = self.assignment
+        cuts = np.flatnonzero(np.diff(assign)) + 1
+        starts = np.concatenate(([0], cuts))
+        ends = np.concatenate((cuts, [len(assign)]))
         edges = self.grid.edges
         out: dict[int, list[tuple[float, float]]] = {}
-        assign = self.assignment
-        start = 0
-        for k in range(1, len(assign) + 1):
-            if k == len(assign) or assign[k] != assign[start]:
-                j = int(assign[start])
-                out.setdefault(j, []).append((float(edges[start]), float(edges[k])))
-                start = k
+        for j, a, b in zip(assign[starts].tolist(), edges[starts].tolist(),
+                           edges[ends].tolist()):
+            out.setdefault(j, []).append((a, b))
         return out
 
 

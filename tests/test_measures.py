@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import fairdiv.measures
 from fairdiv import (DensitySpec, Grid, cell_masses, coalition_table,
                      density_eval)
+from helpers import random_density
 
 
 def test_density_eval_uniform():
@@ -173,3 +177,36 @@ def test_beta_masses_match_scipy_quadrature():
         val, _ = integrate.quad(stats.beta(3, 8).pdf,
                                 grid.edges[k], grid.edges[k + 1])
         assert masses[k] == pytest.approx(val, abs=1e-12)
+
+
+def test_each_crossing_solved_once(five_players, all_subsets_5, table_4096,
+                                   monkeypatch):
+    # 18 distinct (ordered pair, cell) crossings; one per coalition holding
+    # the pair would be 75 root finds
+    calls = []
+    solve = fairdiv.measures._crossing_point
+    monkeypatch.setattr(fairdiv.measures, "_crossing_point",
+                        lambda *args: calls.append(args) or solve(*args))
+    table = coalition_table(five_players, all_subsets_5, Grid(4096))
+    assert len(calls) == 18
+    np.testing.assert_array_equal(table.masses, table_4096.masses)
+
+
+def _rows_alone_match(players, subsets, grid):
+    table = coalition_table(players, subsets, grid)
+    for s, row in zip(subsets, table.masses):
+        np.testing.assert_array_equal(
+            row, coalition_table(players, [s], grid).masses[0])
+
+
+def test_shared_crossings_match_single_row_builds(five_players, all_subsets_5):
+    _rows_alone_match(five_players, all_subsets_5, Grid(4096))
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_shared_crossings_match_single_row_builds_random(seed):
+    rng = np.random.default_rng(seed)
+    players = [random_density(rng) for _ in range(6)]
+    subsets = [s for r in range(1, 7)
+               for s in itertools.combinations(range(6), r)]
+    _rows_alone_match(players, subsets, Grid(2048))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fairdiv import (DensitySpec, Grid, WeightedProblem, g_eval,
                      maxsum_partition, weighted_problem)
+from fairdiv.partition import Allocation
 from helpers import brute_force_maxsum, random_alpha, random_problem
 
 
@@ -138,3 +139,26 @@ def test_allocation_intervals_merge():
     res = maxsum_partition(problem, [0.5, 0.5])
     assert res.allocation.intervals() == {0: [(0.0, 0.5)], 1: [(0.5, 1.0)]}
     assert list(res.allocation.cells_of(0)) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_allocation_intervals_rebuild_assignment(seed):
+    rng = np.random.default_rng(seed)
+    cells = 1 if seed == 0 else int(rng.integers(1, 300))
+    owners = 1 if seed == 1 else int(rng.integers(1, 5))
+    # runs of random length, so neighbouring cells often share an owner
+    assignment = np.repeat(rng.integers(0, owners, size=cells),
+                           rng.integers(1, 6, size=cells))[:cells]
+    grid = Grid(cells)
+    spans = Allocation(grid, assignment).intervals()
+
+    assert list(spans) == list(dict.fromkeys(assignment.tolist()))
+    rebuilt = np.full(cells, -1)
+    for j, runs in spans.items():
+        for (a0, b0), (a1, _) in zip(runs, runs[1:]):
+            assert b0 < a1  # merged: no two runs of one owner touch
+        for a, b in runs:
+            lo, hi = np.searchsorted(grid.edges, [a, b])
+            assert grid.edges[lo] == a and grid.edges[hi] == b
+            rebuilt[lo:hi] = j
+    np.testing.assert_array_equal(rebuilt, assignment)
