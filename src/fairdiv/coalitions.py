@@ -29,7 +29,7 @@ CARDINALITY = "cardinality"
 PRE_DIVISION = "pre_division"
 
 #: competitive pre-solve for pre-division weights: at this epsilon the master
-#: LP pinches the bundled singletons to rounding in 64 iterations and its
+#: LP pinches the bundled singletons to rounding in 63 iterations and its
 #: lambda mix splits 5 of 4,096 cells; at 1e-3 it splits 810
 PRE_SOLVE_CONFIG = SolverConfig(epsilon=1e-9)
 

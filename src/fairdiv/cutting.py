@@ -16,7 +16,9 @@ valid bound, so the LP's rounding never enters a certified number.  The upper
 bound is the smallest g seen.
 
 The master LP is small (one row per held column, one column per coalition)
-and is solved exactly by a dense simplex in ``_master_lp``.
+and is solved exactly by a dense simplex (``_MasterLP``).  A new column is
+one more row, so one tableau lives for the whole solve and is re-solved by
+dual-simplex pivots from its last basis.
 
 Every column is a cell assignment (axis column q gives every cell to q), so
 the same lambda mix of the assignments is an achievable fractional
@@ -30,6 +32,7 @@ step rule.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,68 +42,145 @@ from .bounds import lower_bound
 from .partition import WeightedProblem, maxsum_partition
 from .subgradient import _EXACT_STOP_TOL, SolveResult, SolverConfig
 
-#: reduced costs, pivots and ratio ties below this count as zero; the
-#: tableau is scaled so its largest column entry is 1
+#: reduced costs, pivots, ratio ties and negative right-hand sides below this
+#: count as zero; the tableau is scaled so its largest column entry is 1
 _PIVOT_TOL = 1e-12
+#: pivot caps: per tableau row and column of a solve from the slack basis
+#: (then ``RuntimeError``), and per re-solve after an add (then a cold rebuild)
+_COLD_PIVOTS = 20
+_WARM_PIVOTS = 50
 
 
-def _master_lp(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the master LP over the held columns C, shape (n, m).
+class _MasterLP:
+    """Simplex tableau of the master LP over the columns C held so far.
 
     Every column is nonnegative and the axis rows make the master value v
     positive, so with y = alpha / v the master LP is
 
         max 1'y  s.t.  C y <= 1,  y >= 0,
 
-    whose slack basis is feasible: no phase I.  A condensed simplex tableau
-    with Bland's rule (smallest index enters and leaves, so it terminates)
-    solves it.  The dual, min 1'mu s.t. C'mu >= 1, mu >= 0, has mu_i = the
-    reduced cost of slack i in the final objective row; lambda = mu / sum mu
-    weights the columns so that min(lambda C) = v = max(C alpha).
+    whose slack basis is feasible: no phase I.  Row 0 of the condensed
+    tableau holds -(reduced costs) and 1'y; row 1 + i reads basic variable =
+    rhs - sum_k t[1 + i, k] * nonbasic_k.  Variables 0..m-1 are y, m + i is
+    the slack of column i, and Bland's rule (smallest index enters and
+    leaves) makes both the primal and the dual simplex terminate.
 
-    Returns alpha = y / sum y and lambda, both on the simplex.  Raises
-    ``RuntimeError`` if the pivot cap is reached.
+    ``add`` writes the row c'y <= 1 of a new column in the current nonbasic
+    variables, with its slack basic.  The old basis stays dual feasible, so
+    a dual-simplex pivot or two restores optimality, where a cold solve
+    takes about eight.  One instance lives for one solve, at one scale.
     """
-    n, m = columns.shape
-    # rows 0..n-1: basic variable = rhs - sum_k t[i, k] * nonbasic_k;
-    # row n: -(reduced costs) and the objective value 1'y
-    t = np.empty((n + 1, m + 1))
-    t[:n, :m] = columns / columns.max()
-    t[:n, m] = 1.0
-    t[n, :m] = -1.0
-    t[n, m] = 0.0
-    # variables 0..m-1 are y, m..m+n-1 the slacks
-    col_var = np.arange(m)
-    row_var = np.arange(m, m + n)
-    max_pivots = 20 * (n + m)
-    for _ in range(max_pivots):
-        enter = np.flatnonzero(t[n, :m] < -_PIVOT_TOL)
-        if enter.size == 0:
-            break
-        c = enter[np.argmin(col_var[enter])]
-        rows = np.flatnonzero(t[:n, c] > _PIVOT_TOL)
-        if rows.size == 0:  # the axis rows bound y; only rounding gets here
-            raise RuntimeError("master LP lost its bounding axis rows")
-        ratio = np.maximum(t[rows, m], 0.0) / t[rows, c]
-        ties = rows[ratio <= ratio.min() + _PIVOT_TOL]
-        r = ties[np.argmin(row_var[ties])]
-        p = t[r, c]
+
+    def __init__(self, columns: np.ndarray, scale: float):
+        (self.n, self.m), self.scale = columns.shape, scale
+        self._c = np.resize(columns, (2 * self.n, self.m))
+        self.columns = self._c[:self.n]
+        self._t = np.empty((len(self._c) + 1, self.m + 1))
+        self._row_var = np.empty(len(self._c), dtype=np.intp)
+        self._cold()
+
+    def _cold(self) -> None:
+        n, m = self.n, self.m
+        self._t[0, :m], self._t[0, m] = -1.0, 0.0
+        self._t[1:n + 1, :m] = self.columns / self.scale
+        self._t[1:n + 1, m] = 1.0
+        self._col_var = np.arange(m)
+        self._row_var[:n] = np.arange(m, m + n)
+        cap = _COLD_PIVOTS * (n + m)
+        if not self._solve(cap):
+            raise RuntimeError(f"master LP did not reach an optimum within "
+                               f"{cap} pivots")
+
+    def add(self, column: np.ndarray) -> None:
+        """Hold one more column and re-solve from the current basis."""
+        n, m = self.n, self.m
+        if n == len(self._c):  # np.resize keeps the leading rows
+            self._c = np.resize(self._c, (2 * n, m))
+            self._t = np.resize(self._t, (2 * n + 1, m + 1))
+            self._row_var = np.resize(self._row_var, 2 * n)
+        self._c[n] = column
+        self.n, self.columns = n + 1, self._c[:n + 1]
+        # c'y with each basic y_j substituted from its row
+        c = column / self.scale
+        row = np.zeros(m + 1)
+        row[m] = 1.0
+        y_cols = self._col_var < m
+        row[:m][y_cols] = c[self._col_var[y_cols]]
+        y_rows = (self._row_var[:n] < m).nonzero()[0]
+        row -= c[self._row_var[y_rows]] @ self._t[1 + y_rows]
+        self._t[n + 1] = row
+        self._row_var[n] = m + n
+        if not self._solve(_WARM_PIVOTS):
+            self._cold()
+
+    def _solve(self, max_pivots: int) -> bool:
+        """Pivot to an optimum: dual steps while a right-hand side is
+        negative, then primal steps while a reduced cost is.  False if that
+        takes more than ``max_pivots`` pivots, or on a rounding-lost bound."""
+        m = self.m
+        t = self._t[:self.n + 1]
+        col_var, row_var = self._col_var, self._row_var[:self.n]
+        for pivots in itertools.count():
+            out = (t[1:, m] < -_PIVOT_TOL).nonzero()[0]
+            if out.size:
+                r = out[row_var[out].argmin()]
+                cols = (t[1 + r, :m] < -_PIVOT_TOL).nonzero()[0]
+                if cols.size == 0:  # y = 0 is feasible; only rounding
+                    return False
+                ratio = np.maximum(t[0, cols], 0.0) / -t[1 + r, cols]
+                ties = cols[ratio <= ratio.min() + _PIVOT_TOL]
+                k = ties[col_var[ties].argmin()]
+            else:
+                enter = (t[0, :m] < -_PIVOT_TOL).nonzero()[0]
+                if enter.size == 0:
+                    return True
+                k = enter[col_var[enter].argmin()]
+                rows = (t[1:, k] > _PIVOT_TOL).nonzero()[0]
+                if rows.size == 0:  # the axis rows bound y; only rounding
+                    return False
+                ratio = np.maximum(t[1 + rows, m], 0.0) / t[1 + rows, k]
+                ties = rows[ratio <= ratio.min() + _PIVOT_TOL]
+                r = ties[row_var[ties].argmin()]
+            if pivots == max_pivots:
+                return False
+            self._pivot(1 + r, k)
+
+    def _pivot(self, r: int, k: int) -> None:
+        t = self._t[:self.n + 1]
+        p = t[r, k]
         pivot_row = t[r] / p
-        col = t[:, c].copy()
-        t -= np.outer(col, pivot_row)
+        col = t[:, k].copy()
+        t -= col[:, None] * pivot_row
         t[r] = pivot_row
-        t[:, c] = -col / p
-        t[r, c] = 1.0 / p
-        col_var[c], row_var[r] = row_var[r], col_var[c]
-    else:
-        raise RuntimeError(f"master LP did not reach an optimum within "
-                           f"{max_pivots} pivots")
-    primal = np.zeros(m + n)
-    primal[row_var] = np.maximum(t[:n, m], 0.0)
-    dual = np.zeros(m + n)
-    dual[col_var] = np.maximum(t[n, :m], 0.0)
-    y, mu = primal[:m], dual[m:]
-    return y / y.sum(), mu / mu.sum()
+        t[:, k] = -col / p
+        t[r, k] = 1.0 / p
+        self._col_var[k], self._row_var[r - 1] = (self._row_var[r - 1],
+                                                  self._col_var[k])
+
+    def solution(self) -> tuple[np.ndarray, np.ndarray]:
+        """alpha = y / sum y and lambda = mu / sum mu, both on the simplex.
+
+        The dual, min 1'mu s.t. C'mu >= 1, mu >= 0, has min(lambda C) = v =
+        max(C alpha).  Both are solved from the basis: binding rows R and
+        basic y_B give C[R, B] y_B = 1 and mu_R' C[R, B] = 1', so rounding
+        that the tableau gathers over many pivots only picks the basis.
+        """
+        n, m = self.n, self.m
+        row_var, col_var = self._row_var[:n], self._col_var
+        basic = row_var[row_var < m]
+        binding = col_var[col_var >= m] - m
+        inv = np.linalg.inv(self.columns[binding][:, basic])
+        y = np.zeros(m)
+        y[basic] = np.maximum(inv.sum(axis=1), 0.0)
+        mu = np.zeros(n)
+        mu[binding] = np.maximum(inv.sum(axis=0), 0.0)
+        return y / y.sum(), mu / mu.sum()
+
+
+def _master_lp(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """alpha and lambda of the master LP over ``columns``, shape (n, m),
+    solved cold; raises ``RuntimeError`` if the pivot cap is reached."""
+    return _MasterLP(columns, columns.max()).solution()
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -109,24 +189,24 @@ class CuttingResult(SolveResult):
 
     ``columns`` stacks the m axis points, then every held value vector;
     ``assignments`` holds the cell assignment of each non-axis column, in
-    the same order.
+    the same order, and ``lam`` the master LP's final lambda over them.
     """
 
     columns: np.ndarray
     assignments: tuple[np.ndarray, ...]
+    lam: np.ndarray
 
     @cached_property
     def shares(self) -> np.ndarray:
         """Fractional partition shares[j, k] = sum_i lambda_i [a_i(k) = j].
 
-        lambda comes from one master LP over the final columns (the loop's
-        last one predates the last column).  Every cell's shares sum to 1,
-        and the value vector (shares * cell_values).sum(axis=1) is lambda C:
-        its smallest coordinate is the master-LP value, and it is equitable
-        wherever the master LP's alpha is interior.
+        lambda is the master LP's final one, over every held column.  Every
+        cell's shares sum to 1, and the value vector (shares *
+        cell_values).sum(axis=1) is lambda C: its smallest coordinate is the
+        master-LP value, and it is equitable wherever the master LP's alpha
+        is interior.
         """
-        m = self.columns.shape[1]
-        _, lam = _master_lp(self.columns)
+        m, lam = self.columns.shape[1], self.lam
         cells = np.arange(self.assignments[0].size)
         out = np.repeat(lam[:m, None], cells.size, axis=1)
         for weight, assignment in zip(lam[m:], self.assignments):
@@ -150,7 +230,8 @@ def cutting_plane_value(problem: WeightedProblem,
     pvv = maxsum_partition(problem, np.full(problem.m, 1.0 / problem.m))
     best = pvv
     lb = lower_bound(pvv, totals)
-    columns = np.vstack([np.diag(totals), pvv.u])
+    # every value vector is at most totals, up to summation order
+    lp = _MasterLP(np.vstack([np.diag(totals), pvv.u]), totals.max())
     assignments = [pvv.allocation.assignment]
     stalled = False
 
@@ -162,21 +243,22 @@ def cutting_plane_value(problem: WeightedProblem,
         if stalled or t >= config.max_iterations:
             converged = False
             break
-        alpha, lam = _master_lp(columns)
-        lb = max(lb, float((lam @ columns).min()))
+        alpha, lam = lp.solution()
+        lb = max(lb, float((lam @ lp.columns).min()))
         pvv = maxsum_partition(problem, alpha)
         t += 1
         if pvv.g_value < best.g_value:
             best = pvv
         lb = max(lb, lower_bound(pvv, totals))
-        stalled = bool((columns == pvv.u).all(axis=1).any())
+        stalled = bool((lp.columns == pvv.u).all(axis=1).any())
         if not stalled:
-            columns = np.vstack([columns, pvv.u])
+            lp.add(pvv.u)
             assignments.append(pvv.allocation.assignment)
 
     # on an exact pinch (always so for m == 1) g and the bound sum the same
     # cells in different orders and may differ in the last bit
     return CuttingResult(lower=min(lb, best.g_value), upper=best.g_value,
                          alpha=best.alpha, pvv=best, iterations=t,
-                         converged=converged, columns=columns,
-                         assignments=tuple(assignments))
+                         converged=converged, columns=lp.columns,
+                         assignments=tuple(assignments),
+                         lam=lp.solution()[1])

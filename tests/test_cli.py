@@ -590,13 +590,12 @@ def test_identical_players_split_pre_division_weights(tmp_path, capsys):
 @pytest.mark.parametrize("command", [["solve"], ["game", "--subset", "1"],
                                      ["trace"]])
 def test_internal_error_exits_5(capsys, monkeypatch, command):
-    def pivot_cap(columns):
-        raise RuntimeError("master LP did not reach an optimum")
-
     def not_interior(problem, config):
         raise RuntimeError("step was not clipped enough to stay interior")
 
-    monkeypatch.setattr("fairdiv.cutting._master_lp", pivot_cap)
+    # no pivots allowed: the first master LP of a solve reaches its cap
+    monkeypatch.setattr("fairdiv.cutting._WARM_PIVOTS", 0)
+    monkeypatch.setattr("fairdiv.cutting._COLD_PIVOTS", 0)
     monkeypatch.setattr("fairdiv.cli.solve_value", not_interior)
     rc = main(["--problem", BUNDLED_PROBLEM, "--weights", "card",
                "--command"] + command)

@@ -3,7 +3,7 @@ import pytest
 
 from fairdiv import (DensitySpec, Grid, SolverConfig, cutting_plane_value,
                      maxsum_partition, weighted_problem)
-from fairdiv.cutting import _master_lp
+from fairdiv.cutting import _MasterLP, _master_lp
 from helpers import (cell_lp_value, master_lp_value, random_density,
                      random_problem)
 
@@ -116,8 +116,9 @@ def test_deterministic(competitive_problem):
 
 
 def _master_lp_cases():
-    """Random nonnegative column sets holding the axis rows: plain, with
-    duplicate columns, with all-zero rows, and on a coarse lattice (ties)."""
+    """Random nonnegative column sets, the m axis rows first: plain, with
+    duplicate columns, with all-zero rows, and on a coarse lattice (ties).
+    Each comes with a row order that mixes the axis rows in."""
     rng = np.random.default_rng(404)
     for k in range(400):
         m = 1 if k % 10 == 0 else int(rng.integers(2, 9))
@@ -131,17 +132,99 @@ def _master_lp_cases():
             totals = np.round(totals * 4) / 4 + 0.25
             held = np.round(held * 4) / 4
         columns = np.vstack([np.diag(totals), held])
-        yield columns[rng.permutation(len(columns))]
+        yield columns, rng.permutation(len(columns))
+
+
+def _assert_master_optimal(columns, alpha, lam):
+    for w in (alpha, lam):
+        assert (w >= 0.0).all()
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+    # max(C alpha) >= v >= min(lambda C): equal, both are optimal
+    upper = (columns @ alpha).max()
+    lower = (lam @ columns).min()
+    assert upper - lower <= 1e-12 * upper
+    assert upper == pytest.approx(master_lp_value(columns), abs=1e-9)
+
+
+def _assert_warm_optimal(columns):
+    """Start from the axis rows and add the other rows one at a time; the
+    warm tableau must be optimal after every add."""
+    m = columns.shape[1]
+    lp = _MasterLP(columns[:m], columns[:m].max())
+    for i in range(m, len(columns)):
+        lp.add(columns[i])
+        _assert_master_optimal(columns[:i + 1], *lp.solution())
 
 
 def test_master_lp_is_optimal():
-    for columns in _master_lp_cases():
-        alpha, lam = _master_lp(columns)
-        for w in (alpha, lam):
-            assert (w >= 0.0).all()
-            assert w.sum() == pytest.approx(1.0, abs=1e-12)
-        # max(C alpha) >= v >= min(lambda C): equal, both are optimal
-        upper = (columns @ alpha).max()
-        lower = (lam @ columns).min()
-        assert upper - lower <= 1e-12 * upper
-        assert upper == pytest.approx(master_lp_value(columns), abs=1e-9)
+    for columns, order in _master_lp_cases():
+        _assert_master_optimal(columns[order], *_master_lp(columns[order]))
+
+
+def test_warm_master_lp_is_optimal():
+    for columns, _ in _master_lp_cases():
+        _assert_warm_optimal(columns)
+
+
+def test_warm_master_lp_on_solver_iterations():
+    # the LP of every iteration of seeded solves, as the loop builds them
+    rng = np.random.default_rng(505)
+    for _ in range(20):
+        problem = random_problem(rng, max_players=5, max_m=5, cells=64)
+        res = cutting_plane_value(problem, SolverConfig(epsilon=1e-9))
+        _assert_warm_optimal(res.columns)
+
+
+def _count_pivots(monkeypatch) -> list[int]:
+    count = [0]
+    pivot = _MasterLP._pivot
+
+    def counted(self, r, k):
+        count[0] += 1
+        pivot(self, r, k)
+
+    monkeypatch.setattr(_MasterLP, "_pivot", counted)
+    return count
+
+
+def test_warm_start_pivot_count(competitive_problem, monkeypatch):
+    # the pre-solve behind pre-division weights (63 iterations) takes 79
+    # pivots when each column is added to the held tableau; solving every
+    # master LP cold from the slack basis took 1,293 over its 64 iterations
+    # (1,326 with the extra LP that ``shares`` then solved)
+    count = _count_pivots(monkeypatch)
+    res = cutting_plane_value(competitive_problem, SolverConfig(epsilon=1e-9))
+    assert res.converged
+    assert count[0] <= 100
+
+
+def test_cold_rebuild_matches_warm(competitive_problem, monkeypatch):
+    # with no warm pivots allowed, every add that needs a pivot rebuilds
+    # the tableau cold; the bracket and the partition agree with the warm
+    # solve (the pinched master LP is degenerate, so the two may pick other
+    # optimal bases: lambda itself, the last bits of the bracket and the
+    # iteration count may differ)
+    config = SolverConfig(epsilon=1e-9)
+    warm = cutting_plane_value(competitive_problem, config)
+    count = _count_pivots(monkeypatch)
+    monkeypatch.setattr("fairdiv.cutting._WARM_PIVOTS", 0)
+    cold = cutting_plane_value(competitive_problem, config)
+    assert count[0] > 1000
+    assert cold.converged and warm.converged
+    assert cold.lower == pytest.approx(warm.lower, abs=1e-15)
+    assert cold.upper == pytest.approx(warm.upper, abs=1e-15)
+    assert np.abs(cold.shares - warm.shares).max() <= 1e-9
+
+
+def test_no_state_outlives_a_solve(competitive_problem):
+    other = weighted_problem(
+        [DensitySpec.beta(2, 5), DensitySpec.beta(7, 2),
+         DensitySpec.uniform()], [(0, 2), (1,)], [2.0, 1.0], Grid(256))
+    config = SolverConfig(epsilon=1e-9)
+    first = cutting_plane_value(competitive_problem, config)
+    cutting_plane_value(other, config)
+    again = cutting_plane_value(competitive_problem, config)
+    assert (first.lower, first.upper, first.iterations) == (
+        again.lower, again.upper, again.iterations)
+    assert np.array_equal(first.alpha, again.alpha)
+    assert np.array_equal(first.shares, again.shares)
