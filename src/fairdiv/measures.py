@@ -5,6 +5,9 @@ piecewise constant).  A coalition values a piece by the best joint split of
 it among its members, which makes the coalition density the pointwise max of
 the member densities.  Everything downstream works on a uniform grid, so this
 module also turns densities into per-cell masses.
+
+Beta densities and CDFs are closed forms from ``scipy.special``, one code
+path for scalar and array arguments.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize, special
 
 #: absolute tolerance for "this density integrates to 1"
 MASS_TOL = 1e-9
@@ -86,14 +89,22 @@ def _require_finite(breakpoints, values) -> None:
 
 
 def density_eval(spec: DensitySpec, x):
-    """Evaluate the density at x (scalar or array), x must lie in [0,1]."""
+    """Evaluate the density at x (scalar or array), x must lie in [0,1].
+
+    A beta density is exp(xlogy(a-1, x) + xlog1py(b-1, -x) - betaln(a, b)),
+    from ``scipy.special``: 0, finite or inf at x = 0 and 1 as a and b are
+    above, at or below 1.
+    """
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0.0) or np.any(xs > 1.0):
         raise ValueError("density argument outside [0,1]")
     if spec.kind == "uniform":
         out = np.ones_like(xs)
     elif spec.kind == "beta":
-        out = stats.beta.pdf(xs, spec.a, spec.b)
+        with np.errstate(over="ignore"):  # inf right next to a pole at 0 or 1
+            out = np.exp(special.xlogy(spec.a - 1.0, xs)
+                         + special.xlog1py(spec.b - 1.0, -xs)
+                         - special.betaln(spec.a, spec.b))
     else:
         bp = np.asarray(spec.breakpoints)
         idx = np.clip(np.searchsorted(bp, xs, side="right") - 1,
@@ -105,14 +116,18 @@ def density_eval(spec: DensitySpec, x):
 
 
 def density_cdf(spec: DensitySpec, x):
-    """Cumulative mass of [0, x]; closed form for every supported kind."""
+    """Cumulative mass of [0, x]; closed form for every supported kind.
+
+    A beta CDF is the regularized incomplete beta function
+    ``scipy.special.betainc(a, b, x)``.
+    """
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0.0) or np.any(xs > 1.0):
         raise ValueError("density argument outside [0,1]")
     if spec.kind == "uniform":
         out = xs.copy()
     elif spec.kind == "beta":
-        out = stats.beta.cdf(xs, spec.a, spec.b)
+        out = special.betainc(spec.a, spec.b, xs)
     else:
         bp = np.asarray(spec.breakpoints)
         vals = np.asarray(spec.values)

@@ -128,15 +128,23 @@ def _check_alpha(alpha, m: int) -> np.ndarray:
 
 
 def maxsum_partition(problem: WeightedProblem, alpha) -> PvvResult:
-    """Cell-wise argmax of alpha_j mu_j^w(cell); lowest index wins ties."""
+    """Cell-wise argmax of alpha_j mu_j^w(cell), as a running max over the
+    m rows: a row takes a cell only with a strictly larger score, so the
+    lowest index wins ties."""
     alpha = _check_alpha(alpha, problem.m)
-    scores = alpha[:, None] * problem.cell_values
-    assignment = scores.argmax(axis=0)
-    cols = np.arange(problem.grid.cell_count)
-    g = float(scores[assignment, cols].sum())
-    u = np.bincount(assignment,
-                    weights=problem.cell_values[assignment, cols],
-                    minlength=problem.m)
+    values = problem.cell_values
+    best = alpha[0] * values[0]
+    best_values = values[0].copy()
+    assignment = np.zeros(problem.grid.cell_count, dtype=np.intp)
+    score = np.empty_like(best)
+    for j in range(1, problem.m):
+        np.multiply(alpha[j], values[j], out=score)
+        wins = score > best
+        np.copyto(best, score, where=wins)
+        np.copyto(best_values, values[j], where=wins)
+        np.copyto(assignment, j, where=wins)
+    g = float(best.sum())
+    u = np.bincount(assignment, weights=best_values, minlength=problem.m)
     return PvvResult(alpha=alpha,
                      allocation=Allocation(problem.grid, assignment),
                      u=u, g_value=g)

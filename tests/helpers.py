@@ -1,7 +1,8 @@
 """Independent oracles and random-instance generators shared by the tests.
 
 Everything here deliberately avoids the library's own solution paths: brute
-force enumerates assignments, the hull bound solves the linear system
+force enumerates assignments, the argmax maxsum takes a column-wise argmax
+over the full (m, cells) score matrix, the hull bound solves the linear system
 directly, golden-section is a scalar convex minimizer, the cell LP solves the
 maxmin problem over fractional cell assignments in one linear program, the
 master-LP value comes from HiGHS rather than the library's own simplex, and
@@ -68,6 +69,20 @@ def brute_force_maxsum(problem, alpha):
         if val > best:
             best = val
     return best
+
+
+def argmax_maxsum(problem, alpha):
+    """Maxsum partition by one argmax down the columns of the score matrix
+    (lowest index wins ties): the assignment, g and the value vector u."""
+    alpha = np.asarray(alpha, dtype=float)
+    scores = alpha[:, None] * problem.cell_values
+    assignment = scores.argmax(axis=0)
+    cols = np.arange(problem.grid.cell_count)
+    g = float(scores[assignment, cols].sum())
+    u = np.bincount(assignment,
+                    weights=problem.cell_values[assignment, cols],
+                    minlength=problem.m)
+    return assignment, g, u
 
 
 def hull_lower_bound(u, totals):

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ from scipy import integrate, stats
 
 import fairdiv.measures
 from fairdiv import (DensitySpec, Grid, cell_masses, coalition_table,
-                     density_eval)
+                     density_cdf, density_eval)
 from helpers import random_density
 
 
@@ -210,3 +213,76 @@ def test_shared_crossings_match_single_row_builds_random(seed):
     subsets = [s for r in range(1, 7)
                for s in itertools.combinations(range(6), r)]
     _rows_alone_match(players, subsets, Grid(2048))
+
+
+def _beta_shapes():
+    """Seeded (a, b) in [0.3, 40], log-uniform, plus shapes at a = 1 or
+    b = 1 on both sides of 1."""
+    rng = np.random.default_rng(2024)
+    drawn = np.exp(rng.uniform(np.log(0.3), np.log(40.0), size=(80, 2)))
+    edge = [(1.0, 1.0), (1.0, 0.3), (0.3, 1.0), (1.0, 40.0), (40.0, 1.0),
+            (1.0, 2.5), (0.5, 0.5)]
+    return edge + [tuple(ab) for ab in drawn.tolist()]
+
+
+BETA_X = np.concatenate([[0.0, 1e-12, 1e-9, 1e-6],
+                         np.linspace(0.0, 1.0, 2001)[1:-1],
+                         [1 - 1e-6, 1 - 1e-9, 1 - 1e-12, 1.0]])
+
+
+@pytest.mark.parametrize("a, b", _beta_shapes())
+def test_beta_density_matches_scipy_stats(a, b):
+    spec = DensitySpec.beta(a, b)
+    ours = density_eval(spec, BETA_X)
+    ref = stats.beta.pdf(BETA_X, a, b)
+    # same 0, finite or inf pattern, including x = 0 and 1
+    assert np.array_equal(np.isinf(ours), np.isinf(ref))
+    assert np.array_equal(ours == 0.0, ref == 0.0)
+    normal = np.isfinite(ref) & (ref >= np.finfo(float).tiny)
+    rel = np.abs(ours[normal] - ref[normal]) / ref[normal]
+    assert rel.max() <= 1e-12
+    # below the normal range only an absolute comparison means anything
+    sub = np.isfinite(ref) & ~normal
+    assert np.all(np.abs(ours[sub] - ref[sub]) <= np.finfo(float).tiny)
+    for x in (0.0, 0.37, 1.0):
+        assert np.isinf(density_eval(spec, x)) == np.isinf(
+            stats.beta.pdf(x, a, b))
+    assert np.array_equal(density_cdf(spec, BETA_X),
+                          stats.beta.cdf(BETA_X, a, b))
+    assert density_cdf(spec, 0.37) == stats.beta.cdf(0.37, a, b)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fairdiv.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fairdiv; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_split_cells_match_quadrature(five_players, table_4096):
+    # a row's split cells are those whose two edges have different dominant
+    # members; integrate the max member pdf over each of them (the uniform
+    # player is beta(1, 1))
+    grid = table_4096.grid
+    shapes = np.array([(1.0, 1.0) if p.kind == "uniform" else (p.a, p.b)
+                       for p in five_players])
+    edges = np.clip(grid.edges, 1e-12, 1.0 - 1e-12)
+    at_edges = stats.beta.pdf(edges, shapes[:, :1], shapes[:, 1:])
+    checked = 0
+    for row, s in enumerate(table_4096.coalitions):
+        a, b = shapes[list(s)].T
+        dominant = at_edges[list(s)].argmax(axis=0)
+        for k in np.nonzero(dominant[:-1] != dominant[1:])[0]:
+            ref, _ = integrate.quad(
+                lambda x: stats.beta.pdf(x, a, b).max(),
+                grid.edges[k], grid.edges[k + 1],
+                epsabs=1e-16, epsrel=1e-14, limit=200)
+            assert abs(table_4096.masses[row, k] - ref) <= 1e-13
+            checked += 1
+    assert checked == 75  # 18 distinct crossings, shared across rows

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from fairdiv import (DensitySpec, Grid, WeightedProblem, g_eval,
                      maxsum_partition, weighted_problem)
 from fairdiv.partition import Allocation
-from helpers import brute_force_maxsum, random_alpha, random_problem
+from helpers import (argmax_maxsum, brute_force_maxsum, random_alpha,
+                     random_problem)
 
 
 def alphas(m):
@@ -103,6 +104,54 @@ def test_brute_force_oracle_small_instances():
         alpha = random_alpha(rng, problem.m)
         res = maxsum_partition(problem, alpha)
         assert res.g_value == brute_force_maxsum(problem, alpha)
+
+
+def _assert_matches_argmax(problem, alpha):
+    res = maxsum_partition(problem, alpha)
+    assignment, g, u = argmax_maxsum(problem, alpha)
+    assert np.array_equal(res.allocation.assignment, assignment)
+    assert res.g_value == g
+    assert np.array_equal(res.u, u)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_running_max_matches_argmax_referee(seed):
+    rng = np.random.default_rng(seed)
+    problem = random_problem(rng, max_players=6, max_m=5, cells=512)
+    for _ in range(8):
+        _assert_matches_argmax(problem, random_alpha(rng, problem.m))
+
+
+def test_running_max_matches_argmax_one_coalition():
+    players = [DensitySpec.beta(0.7, 3.0), DensitySpec.uniform()]
+    problem = weighted_problem(players, [(0, 1)], [1.7], Grid(300))
+    _assert_matches_argmax(problem, [1.0])
+
+
+def test_running_max_matches_argmax_zero_alpha_components():
+    # piecewise zeros make zero scores tie with the zeroed coalitions
+    players = [DensitySpec.piecewise([0, 0.3, 1], [0, 1 / 0.7]),
+               DensitySpec.beta(2, 5), DensitySpec.uniform(),
+               DensitySpec.piecewise([0, 0.6, 1], [1 / 0.6, 0])]
+    problem = weighted_problem(players, [(0,), (1,), (2,), (3,)],
+                               [1.0, 2.0, 0.5, 1.0], Grid(256))
+    for alpha in ([0.0, 0.5, 0.0, 0.5], [1.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 1.0], [0.0, 0.3, 0.7, 0.0]):
+        _assert_matches_argmax(problem, alpha)
+
+
+def test_running_max_matches_argmax_lattice_ties():
+    # identical rows, and weights and alphas that scale them by powers of
+    # two, so every score of a cell is the same float
+    players = [DensitySpec.beta(4, 4)] * 3 + [DensitySpec.uniform()] * 2
+    problem = weighted_problem(players, [(0,), (1,), (2,)], [1.0, 2.0, 1.0],
+                               Grid(128))
+    _assert_matches_argmax(problem, [0.25, 0.5, 0.25])
+    flat = weighted_problem(players, [(3,), (4,)], [1.0, 1.0], Grid(64))
+    for alpha in ([0.5, 0.5], [0.25, 0.75], [0.75, 0.25]):
+        _assert_matches_argmax(flat, alpha)
+    res = maxsum_partition(problem, [0.25, 0.5, 0.25])
+    assert np.all(res.allocation.assignment == 0)
 
 
 def test_weight_scaling_invariance():
