@@ -9,19 +9,19 @@ maxmin value.
 
 A cutting-plane solver (``cutting_plane_value``, Kelley's method) needs no
 step rule.  It computes the ``solve`` command's bracket, the game values
-(``full_game``, ``game_value``) and the pre-division weights, which are the
-dual (lambda) mix of its maxsum partitions: an equitable partition that
-splits a few cells.  The paper's projected subgradient method
-(``solve_value``, ``solve_partition``) runs the ``partition`` and ``trace``
-commands; the step rule of ``SolverConfig`` (``--step-scale``/``--clip-k``
-on the command line) applies to it only.  Both solvers start at the
-uniform alpha.
+(``full_game``, for every coalition or the ones passed as ``subsets``) and
+the pre-division weights, which are the dual (lambda) mix of its maxsum
+partitions: an equitable partition that splits a few cells.  The paper's
+projected subgradient method (``solve_value``, ``solve_partition``) runs
+the ``partition`` and ``trace`` commands; the step rule of ``SolverConfig``
+(``--step-scale``/``--clip-k`` on the command line) applies to it only.
+Both solvers start at the uniform alpha.
 """
 
 from .bounds import lower_bound, upper_bound
 from .coalitions import (GameEntry, GameTable, ShapleyResult, WeightSystem,
-                         cardinality_weights, full_game, game_value,
-                         pre_division_weights, shapley, weight_of)
+                         cardinality_weights, full_game, pre_division_weights,
+                         shapley, weight_of)
 from .cutting import cutting_plane_value
 from .measures import (DensitySpec, Grid, MeasureTable, cell_masses,
                        coalition_table, density_cdf, density_eval)
@@ -40,7 +40,7 @@ __all__ = [
     "SolverConfig", "StepRule", "WeightSystem", "WeightedProblem",
     "cardinality_weights", "cell_masses", "clipped_step", "coalition_table",
     "cutting_plane_value", "density_cdf", "density_eval",
-    "full_game", "g_eval", "game_value", "load_problem", "lower_bound",
+    "full_game", "g_eval", "load_problem", "lower_bound",
     "maxsum_partition", "pre_division_weights", "save_problem", "shapley",
     "solve_partition", "solve_value", "update_alpha", "upper_bound",
     "weight_of", "weighted_problem",

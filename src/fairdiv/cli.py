@@ -9,11 +9,14 @@ The ``solve`` bracket, game values (``game``, ``shapley``) and pre-division
 weights (``--weights pre``) come from the cutting-plane solver, which has no
 step rule; ``--step-scale`` and ``--clip-k`` tune the paper's projected
 subgradient method behind ``partition`` and ``trace`` only, and every other
-command rejects them.  ``--max-iter`` caps every solve of a run, the Kelley
-iterations of the pre-division pre-solve included, and pre-division weights
-are computed on the run's grid.  ``--weights``, else the file's ``"card"``
-or ``"pre"``, picks the weight system; ``game`` and ``shapley`` compute both
-when neither names one.
+command rejects them.  Likewise ``--subset`` (one coalition against the
+other players alone) applies to ``game`` only and ``--coalitions`` to
+``solve``, ``partition`` and ``trace`` only; ``FLAG_COMMANDS`` lists them
+all.  ``--max-iter`` caps every solve of a run, the Kelley iterations of the
+pre-division pre-solve included, and pre-division weights are computed on
+the run's grid.  ``--weights``, else the file's ``"card"`` or ``"pre"``,
+picks the weight system; ``game`` and ``shapley`` compute both when neither
+names one.
 
 ``solve`` prints one bracket line, ``[lb, ub]``, and rejects ``--format
 json``.  Every table (``partition`` cells, ``game``, ``shapley`` and the
@@ -26,15 +29,14 @@ to its merged intervals.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from argparse import Namespace
 from dataclasses import replace
 
 from .coalitions import (PRE_SOLVE_CONFIG, GameTable, WeightSystem,
-                         cardinality_weights, full_game, game_value,
-                         pre_division_weights, shapley, weight_of)
+                         cardinality_weights, full_game, pre_division_weights,
+                         shapley, weight_of)
 from .cutting import cutting_plane_value
 from .measures import Grid
 from .partition import WeightedProblem, weighted_problem
@@ -49,9 +51,15 @@ EXIT_CONFIG = 4
 EXIT_INTERNAL = 5
 
 COMMANDS = ("solve", "partition", "game", "shapley", "trace")
-#: the commands that run the paper's projected subgradient method, the only
-#: ones that take its step-rule flags
-STEP_RULE_COMMANDS = ("partition", "trace")
+#: flags that only some commands read, and those commands; every other
+#: command rejects them.  The step-rule flags tune the paper's projected
+#: subgradient method, which only partition and trace run.
+FLAG_COMMANDS = {
+    "--subset": ("game",),
+    "--coalitions": ("solve", "partition", "trace"),
+    "--step-scale": ("partition", "trace"),
+    "--clip-k": ("partition", "trace"),
+}
 
 
 class ConfigError(ValueError):
@@ -66,7 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="PROBLEM", help="problem file (JSON)")
     p.add_argument("--command", required=True, choices=COMMANDS)
     p.add_argument("--coalitions",
-                   help="coalition structure, e.g. '1,2|3|4,5' (1-based)")
+                   help="coalition structure for solve, partition and "
+                        "trace, e.g. '1,2|3|4,5' (1-based)")
     p.add_argument("--subset", help="single coalition for 'game', e.g. '3,5'")
     p.add_argument("--weights", choices=["card", "pre"],
                    help="weight system (default: problem file, else all ones)")
@@ -119,13 +128,17 @@ def _given(**fields) -> dict:
     return {k: v for k, v in fields.items() if v is not None}
 
 
+def _check_flags(spec: Namespace) -> None:
+    """Reject a flag that the command would ignore."""
+    for flag, commands in FLAG_COMMANDS.items():
+        given = getattr(spec, flag[2:].replace("-", "_")) is not None
+        if given and spec.command not in commands:
+            names = ", ".join(commands[:-1])
+            names = f"{names} and {commands[-1]}" if names else commands[-1]
+            raise ConfigError(f"{flag} applies only to {names}")
+
+
 def _solver_config(spec: Namespace) -> SolverConfig:
-    if spec.command not in STEP_RULE_COMMANDS:
-        for flag, value in (("--step-scale", spec.step_scale),
-                            ("--clip-k", spec.clip_k)):
-            if value is not None:
-                raise ConfigError(f"{flag} applies only to "
-                                  + " and ".join(STEP_RULE_COMMANDS))
     base = SolverConfig()
     try:
         rule = replace(base.step_rule, **_given(scale=spec.step_scale,
@@ -272,32 +285,25 @@ def _systems(spec: Namespace, problem: Problem) -> dict:
     return {name: _weight_system(spec, problem, name) for name in names}
 
 
-def _game_tables(spec: Namespace, problem: Problem) -> dict[str, GameTable]:
+def _game_tables(spec: Namespace, problem: Problem,
+                 subsets=None) -> dict[str, GameTable]:
+    """The game of each weight system, on ``subsets`` (default: every
+    nonempty coalition)."""
     grid = _grid(spec, problem)
     config = _solver_config(spec)
     return {name: full_game(problem.densities, system, config=config,
-                            grid=grid)
+                            grid=grid, subsets=subsets)
             for name, system in _systems(spec, problem).items()}
 
 
 def _cmd_game(spec: Namespace, problem: Problem) -> int:
-    n = problem.n
-    if spec.subset is None:
-        subsets = [s for r in range(1, n + 1)
-                   for s in itertools.combinations(range(n), r)]
-        entries = {name: t.entries
-                   for name, t in _game_tables(spec, problem).items()}
-    else:
-        s = _parse_players(spec.subset, n)
-        grid = _grid(spec, problem)
-        config = _solver_config(spec)
-        subsets = [s]
-        entries = {name: {frozenset(s): game_value(
-            problem.densities, s, system, config=config, grid=grid)}
-            for name, system in _systems(spec, problem).items()}
+    subsets = (None if spec.subset is None
+               else [_parse_players(spec.subset, problem.n)])
+    tables = _game_tables(spec, problem, subsets)
     records = []
-    for s in subsets:
-        row = {name: table[frozenset(s)] for name, table in entries.items()}
+    # every table holds the same coalitions, in the same order
+    for s in next(iter(tables.values())).entries:
+        row = {name: t.entries[s] for name, t in tables.items()}
         records.append({"coalition": _coalition_label(s),
                         **{f"eta_{name}": e.value for name, e in row.items()},
                         "converged": all(e.converged for e in row.values())})
@@ -351,6 +357,7 @@ def run(spec: Namespace) -> int:
         print(f"fairdiv: {spec.problem_path}: {e}", file=sys.stderr)
         return EXIT_PARSE
     try:
+        _check_flags(spec)
         return _DISPATCH[spec.command](spec, problem)
     except ConfigError as e:
         print(f"fairdiv: invalid configuration: {e}", file=sys.stderr)

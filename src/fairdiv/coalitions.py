@@ -137,64 +137,43 @@ class GameTable:
         return all(e.converged for e in self.entries.values())
 
 
-def _structure_problem(structure, system: WeightSystem,
-                       table) -> WeightedProblem:
-    """The weighted problem of one structure, on rows of a measure table."""
-    return WeightedProblem(
-        structure=structure,
-        weights=tuple(weight_of(system, unit) for unit in structure),
-        table=table.restrict(structure))
-
-
-def _entry(system: WeightSystem, coalition, res) -> GameEntry:
-    return GameEntry(value=weight_of(system, coalition) * res.midpoint,
-                     converged=res.converged and system.converged)
-
-
-def game_value(players, coalition, system: WeightSystem,
-               config: SolverConfig | None = None,
-               grid: Grid = Grid(4096)) -> GameEntry:
-    """w(S) times the maxmin value of S versus the remaining singletons."""
-    n = len(players)
-    s = tuple(sorted(set(coalition)))
-    if not s:
-        raise ValueError("empty coalition")
-    if config is None:
-        config = default_game_config()
-    structure = versus_singletons(s, n)
-    table = coalition_table(players, structure, grid)
-    res = cutting_plane_value(_structure_problem(structure, system, table),
-                              config)
-    return _entry(system, s, res)
-
-
 def full_game(players, system: WeightSystem,
               config: SolverConfig | None = None,
-              grid: Grid = Grid(4096), jobs: int = 1) -> GameTable:
-    """Game values for every nonempty coalition.
+              grid: Grid = Grid(4096), jobs: int = 1,
+              subsets=None) -> GameTable:
+    """Game values w(S) times the maxmin value of S versus the remaining
+    singletons, for each coalition S of ``subsets`` (default: every nonempty
+    coalition), keyed in that order.
 
-    Structures that coincide after canonical ordering (all singletons, for
-    instance) are solved once.  Solves run serially; ``jobs`` is accepted
-    and ignored, since worker threads did not pay.
+    The measure table holds only the units these structures use: every
+    nonempty coalition by default, S and the other singletons for
+    ``subsets=[S]``.  Structures that coincide after canonical ordering (all
+    singletons, for instance) are solved once.  Solves run serially;
+    ``jobs`` is accepted and ignored, since worker threads did not pay.
     """
     n = len(players)
     if config is None:
         config = default_game_config()
-    subsets = _nonempty_subsets(n)
-    master = coalition_table(players, subsets, grid)
-
+    if subsets is None:
+        subsets = _nonempty_subsets(n)
     structures = {}
     for s in subsets:
         structures.setdefault(versus_singletons(s, n), []).append(s)
+    units = dict.fromkeys(u for structure in structures for u in structure)
+    table = coalition_table(players, list(units), grid)
 
     # each result is dropped once its entries are made, so the held columns
     # of one solve at a time stay in memory
-    entries = {}
+    entries = dict.fromkeys(frozenset(s) for s in subsets)
     for structure in sorted(structures):
-        res = cutting_plane_value(
-            _structure_problem(structure, system, master), config)
-        entries.update((frozenset(s), _entry(system, s, res))
-                       for s in structures[structure])
+        res = cutting_plane_value(WeightedProblem(
+            structure=structure,
+            weights=tuple(weight_of(system, u) for u in structure),
+            table=table.restrict(structure)), config)
+        for s in structures[structure]:
+            entries[frozenset(s)] = GameEntry(
+                value=weight_of(system, s) * res.midpoint,
+                converged=res.converged and system.converged)
     return GameTable(players=n, system=system, entries=entries)
 
 

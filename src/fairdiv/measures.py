@@ -285,8 +285,7 @@ def coalition_table(players, subsets, grid: Grid) -> MeasureTable:
 
     mids_f = np.vstack([density_eval(p, grid.midpoints) for p in players])
     eval_edges = np.clip(grid.edges, _EDGE_EPS, 1.0 - _EDGE_EPS)
-    with np.errstate(divide="ignore"):
-        edges_f = np.vstack([density_eval(p, eval_edges) for p in players])
+    edges_f = np.vstack([density_eval(p, eval_edges) for p in players])
     player_masses = np.vstack([cell_masses(p, grid) for p in players])
 
     masses = np.empty((len(subsets), grid.cell_count))

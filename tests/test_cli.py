@@ -479,6 +479,26 @@ def test_step_flags_rejected_for_kelley_commands(disjoint_file, capsys,
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command, flag, commands", [
+    ("solve", ["--subset", "1"], "game"),
+    ("partition", ["--subset", "1"], "game"),
+    ("shapley", ["--subset", "1"], "game"),
+    ("trace", ["--subset", "1"], "game"),
+    ("game", ["--coalitions", "1|2"], "solve, partition and trace"),
+    ("game", ["--coalitions", "1|2", "--subset", "1"],
+     "solve, partition and trace"),
+    ("shapley", ["--coalitions", "1|2"], "solve, partition and trace"),
+])
+def test_flags_rejected_where_ignored(disjoint_file, capsys, command, flag,
+                                      commands):
+    rc = main(["--problem", disjoint_file, "--command", command,
+               "--weights", "card"] + flag)
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", f"fairdiv: invalid configuration: {flag[0]} applies only to "
+            f"{commands}\n")
+
+
 @pytest.mark.parametrize("command", ["solve", "partition", "trace"])
 @pytest.mark.parametrize("in_file", [False, True])
 def test_unconverged_pre_division_weights_exit_3(beta_uniform_file, capsys,

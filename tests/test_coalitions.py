@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import fairdiv.coalitions
 from fairdiv import (DensitySpec, GameTable, Grid, SolverConfig,
                      cardinality_weights, cutting_plane_value, full_game,
-                     game_value, pre_division_weights, shapley, weight_of)
+                     pre_division_weights, shapley, weight_of)
 from fairdiv.coalitions import GameEntry, versus_singletons
 from helpers import shapley_by_permutations
 
@@ -69,8 +70,8 @@ def test_pre_division_missing_cache_rejected():
 
 def test_grand_coalition_game_value(disjoint_pair):
     # single-unit structure: eta(N) is the grand coalition's whole-cake value
-    entry = game_value(disjoint_pair, (0, 1), cardinality_weights(),
-                       grid=Grid(64))
+    entry = full_game(disjoint_pair, cardinality_weights(), grid=Grid(64),
+                      subsets=[(0, 1)]).entries[frozenset({0, 1})]
     assert entry.converged
     assert entry.value == pytest.approx(2.0, abs=1e-9)
 
@@ -96,9 +97,40 @@ def test_full_game_disjoint_pair_both_systems(disjoint_pair):
         assert card.entries[s].value <= pre.entries[s].value + 2e-3
 
 
+def test_game_on_subsets_matches_full_game(five_players, monkeypatch):
+    # one entry on its own is the same float as in the full game, and its
+    # table holds only the rows of its structure
+    players = five_players[:3]
+    systems = (cardinality_weights(), pre_division_weights(players, cells=64))
+    rows = []
+    build = fairdiv.coalitions.coalition_table
+
+    def spy(players, subsets, grid):
+        rows.append(len(subsets))
+        return build(players, subsets, grid)
+
+    monkeypatch.setattr(fairdiv.coalitions, "coalition_table", spy)
+    for system in systems:
+        full = full_game(players, system, grid=Grid(64))
+        assert rows.pop() == 7
+        for s in full.entries:
+            one = full_game(players, system, grid=Grid(64), subsets=[s])
+            assert list(one.entries) == [s]
+            assert one.entries[s] == full.entries[s]
+            assert rows.pop() == len(versus_singletons(s, 3))
+        some = full_game(players, system, grid=Grid(64),
+                         subsets=[(1, 2), (0,)])
+        assert list(some.entries) == [frozenset({1, 2}), frozenset({0})]
+        assert rows.pop() == 4  # {2,3} and the three singletons
+    full_game(five_players, cardinality_weights(), grid=Grid(64),
+              subsets=[(2, 4)])
+    assert rows == [4]
+
+
 def test_empty_coalition_game_rejected(disjoint_pair):
     with pytest.raises(ValueError):
-        game_value(disjoint_pair, (), cardinality_weights(), grid=Grid(16))
+        full_game(disjoint_pair, cardinality_weights(), grid=Grid(16),
+                  subsets=[()])
 
 
 def make_table(n, eta):
@@ -171,8 +203,10 @@ def test_unconverged_pre_solve_flags_every_entry(five_players):
 
 def test_singleton_game_consistency(five_players, pre_system):
     # a lone player's game value is the competitive value under both systems
-    card = game_value(five_players, (2,), cardinality_weights())
-    pre = game_value(five_players, (2,), pre_system)
+    card = full_game(five_players, cardinality_weights(),
+                     subsets=[(2,)]).entries[frozenset({2})]
+    pre = full_game(five_players, pre_system,
+                    subsets=[(2,)]).entries[frozenset({2})]
     assert card.converged and pre.converged
     assert card.value == pytest.approx(0.4035, abs=2e-3)
     assert pre.value == pytest.approx(0.4035, abs=2e-3)
