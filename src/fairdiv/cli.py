@@ -1,9 +1,10 @@
 """Command-line front end: problem ingestion, solves, table and trace output.
 
-Exit codes: 0 success, 2 problem-file parse error, 3 solver or pre-division
-weights did not converge (partial outputs are still written, flagged), 4
-invalid configuration or a problem the library rejects, 5 internal error (a
-library ``RuntimeError``: a bug, not a property of the problem).
+Exit codes: 0 success, 2 problem-file parse error or unreadable problem
+path, 3 solver or pre-division weights did not converge (partial outputs are
+still written, flagged), 4 invalid configuration, an unwritable ``--out`` or
+a problem the library rejects, 5 internal error (a library
+``RuntimeError``: a bug, not a property of the problem).
 
 The ``solve`` bracket, game values (``game``, ``shapley``) and pre-division
 weights (``--weights pre``) come from the cutting-plane solver, which has no
@@ -217,8 +218,12 @@ def _coalition_label(s) -> str:
 
 def _emit(spec: Namespace, text: str) -> None:
     if spec.out:
-        with open(spec.out, "w", encoding="utf-8") as f:
-            f.write(text)
+        try:
+            with open(spec.out, "w", encoding="utf-8") as f:
+                f.write(text)
+        except OSError as e:
+            raise ConfigError(
+                f"cannot write {spec.out}: {e.strerror or e}") from None
     else:
         sys.stdout.write(text)
 
@@ -352,6 +357,10 @@ def run(spec: Namespace) -> int:
         problem = load_problem(spec.problem_path)
     except FileNotFoundError:
         print(f"fairdiv: cannot open {spec.problem_path}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as e:
+        print(f"fairdiv: cannot read {spec.problem_path}: {e.strerror or e}",
+              file=sys.stderr)
         return EXIT_PARSE
     except ProblemFormatError as e:
         print(f"fairdiv: {spec.problem_path}: {e}", file=sys.stderr)

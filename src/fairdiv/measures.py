@@ -6,6 +6,11 @@ it among its members, which makes the coalition density the pointwise max of
 the member densities.  Everything downstream works on a uniform grid, so this
 module also turns densities into per-cell masses.
 
+A coalition's cell mass is its largest member mass.  Where the members
+dominating at the cell's two edges differ, it is the larger of that and the
+mass split at their crossing.  The mass is exact when dominance changes at
+most once inside the cell, and otherwise a lower bound.
+
 Beta densities and CDFs are closed forms from ``scipy.special``, one code
 path for scalar and array arguments.
 """
@@ -66,6 +71,9 @@ class DensitySpec:
             ab = np.array([self.a, self.b], dtype=float)  # None reads as NaN
             if not np.all(np.isfinite(ab) & (ab > 0)):
                 raise ValueError("beta parameters must be finite and positive")
+            if not np.isfinite(special.betaln(self.a, self.b)):
+                raise ValueError("beta parameters out of range: log B(a, b), "
+                                 "the normalizing constant, is not finite")
         elif self.kind == "piecewise":
             bp = np.asarray(self.breakpoints, dtype=float)
             vals = np.asarray(self.values, dtype=float)
@@ -154,10 +162,6 @@ class Grid:
     def edges(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.cell_count + 1)
 
-    @cached_property
-    def midpoints(self) -> np.ndarray:
-        return (np.arange(self.cell_count) + 0.5) / self.cell_count
-
 
 def cell_masses(spec: DensitySpec, grid: Grid) -> np.ndarray:
     """Per-cell masses as CDF differences; they sum to 1 up to rounding."""
@@ -167,11 +171,12 @@ def cell_masses(spec: DensitySpec, grid: Grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeasureTable:
-    """Exact per-cell masses for a set of coalitions.
+    """Per-cell masses for a set of coalitions.
 
     Rows are aligned with ``coalitions``; each coalition is a sorted tuple of
     0-based player indices.  Each mass integrates the coalition density, the
-    max over members, over one cell.
+    max over members, over one cell: exactly when dominance changes at most
+    once inside the cell, else from below (see ``coalition_table``).
     """
 
     grid: Grid
@@ -207,36 +212,26 @@ class MeasureTable:
         )
 
 
-def _coalition_row(specs, members, mids_f, edges_f, player_masses, grid,
+def _coalition_row(specs, members, edges_f, player_masses, grid,
                    split_masses):
-    """Exact cell masses for one coalition.
-
-    Within a cell the coalition density equals the density of whichever
-    member dominates at the midpoint, so the cell mass is that member's
-    exact mass.  Cells where the dominating member changes between the two
-    edges are split once, at the crossing of the two edge-dominant members;
-    a second change of dominance inside one cell is not resolved.  A split
-    cell's mass depends only on (left-dominant player, right-dominant
-    player, cell), so ``split_masses``, which the caller shares across the
-    rows of one table, holds it once per table under that key.
-    """
+    """Cell masses for one coalition: the largest member mass, raised to
+    the split mass (the left edge-dominant member up to the crossing, the
+    right one after it) where the edge-dominant members differ.  A second
+    change of dominance inside a cell is not resolved, so that cell's mass
+    is a lower bound.  ``split_masses``, shared by the caller across the
+    rows of one table, holds each split mass once under (left-dominant
+    player, right-dominant player, cell)."""
     members = list(members)
-    arg_mid = mids_f[members].argmax(axis=0)
+    masses = player_masses[members].max(axis=0)
     arg_edge = edges_f[members].argmax(axis=0)
     arg_left, arg_right = arg_edge[:-1], arg_edge[1:]
-
-    K = grid.cell_count
-    masses = player_masses[np.asarray(members)[arg_mid], np.arange(K)]
 
     for k in np.nonzero(arg_left != arg_right)[0]:
         key = (members[arg_left[k]], members[arg_right[k]], int(k))
         mass = split_masses.get(key)
         if mass is None:
             mass = split_masses[key] = _split_cell_mass(specs, *key, grid)
-        masses[k] = mass
-
-    # the exact coalition mass dominates each member's; clamp rounding noise
-    masses = np.maximum(masses, player_masses[members].max(axis=0))
+        masses[k] = max(mass, masses[k])
     return masses
 
 
@@ -267,11 +262,12 @@ def coalition_table(players, subsets, grid: Grid) -> MeasureTable:
     """Build the measure table for the given coalitions of players.
 
     ``players`` is the list of DensitySpec, ``subsets`` a list of nonempty
-    coalitions (iterables of 0-based player indices).  A cell is split at
-    most once, at the crossing of its two edge-dominant members.  That split
-    mass depends only on the ordered pair and the cell, so it is computed
-    once per table, however many rows contain the pair, and every row reads
-    the same float.
+    coalitions (iterables of 0-based player indices).  A cell mass is the
+    largest member mass or, where the two edge-dominant members differ, the
+    larger of that and the mass split at their crossing: exact when
+    dominance changes at most once inside the cell, a lower bound otherwise.
+    A split mass depends only on the ordered pair and the cell, so it is
+    computed once per table however many rows contain the pair.
     """
     subsets = [tuple(sorted(set(s))) for s in subsets]
     if not subsets:
@@ -283,7 +279,6 @@ def coalition_table(players, subsets, grid: Grid) -> MeasureTable:
         if s[0] < 0 or s[-1] >= n:
             raise ValueError(f"coalition {s} references unknown players")
 
-    mids_f = np.vstack([density_eval(p, grid.midpoints) for p in players])
     eval_edges = np.clip(grid.edges, _EDGE_EPS, 1.0 - _EDGE_EPS)
     edges_f = np.vstack([density_eval(p, eval_edges) for p in players])
     player_masses = np.vstack([cell_masses(p, grid) for p in players])
@@ -292,6 +287,6 @@ def coalition_table(players, subsets, grid: Grid) -> MeasureTable:
     split_masses: dict[tuple[int, int, int], float] = {}
     for i, s in enumerate(subsets):
         masses[i] = _coalition_row(
-            players, s, mids_f, edges_f, player_masses, grid, split_masses)
+            players, s, edges_f, player_masses, grid, split_masses)
 
     return MeasureTable(grid=grid, coalitions=tuple(subsets), masses=masses)

@@ -141,8 +141,12 @@ def problem_to_json(problem: Problem) -> dict:
 
 
 def load_problem(path) -> Problem:
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as e:
+        raise ProblemFormatError(
+            f"not UTF-8 text (byte {e.start}: {e.reason})") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

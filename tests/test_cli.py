@@ -308,6 +308,44 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert rc == EXIT_PARSE
 
 
+def test_unreadable_problem_path_exit_code(tmp_path, capsys):
+    # a directory, and a file that is not UTF-8 text
+    not_utf8 = tmp_path / "utf16.json"
+    not_utf8.write_bytes(b"\xff\xfe{\x00}\x00")
+    for path in (tmp_path, not_utf8):
+        rc = main(["--problem", str(path), "--command", "solve"])
+        assert rc == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        _one_line_error(captured.err)
+
+
+@pytest.mark.parametrize("out", [".", "missing_dir/x.csv"])
+def test_unwritable_out_exit_code(one_player_file, tmp_path, capsys, out):
+    rc = main(["--problem", one_player_file, "--command", "solve",
+               "--out", str(tmp_path / out)])
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_line_error(captured.err)
+    assert "cannot write" in captured.err
+
+
+@pytest.mark.parametrize("shape", [1e308, 1e307, 1e-320])
+def test_beta_with_non_finite_normalizer_exit_code(tmp_path, capsys, shape):
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps({
+        "players": [{"density": {"kind": "beta", "a": shape, "b": shape}},
+                    {"density": {"kind": "uniform"}}],
+        "grid_cells": 4,
+    }))
+    rc = main(["--problem", str(path), "--command", "solve"])
+    assert rc == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_line_error(captured.err)
+
+
 def test_invalid_epsilon_exit_code(one_player_file, capsys):
     rc = main(["--problem", one_player_file, "--command", "solve",
                "--epsilon", "-1"])

@@ -58,6 +58,10 @@ def test_piecewise_normalized_on_load():
          values=(1.0, 1.0, 1.0)),                                   # not increasing
     dict(kind="piecewise", breakpoints=(0.0, 0.5, 1.0), values=(3.0, -1.0)),
     dict(kind="wiggly"),
+    # log B(a, b) is NaN or inf: the densities would be NaN or 0
+    dict(kind="beta", a=1e308, b=1e308),
+    dict(kind="beta", a=1e307, b=1e307),
+    dict(kind="beta", a=1e-320, b=1e-320),
 ])
 def test_invalid_specs_rejected(kwargs):
     with pytest.raises(ValueError):
@@ -193,6 +197,44 @@ def test_each_crossing_solved_once(five_players, all_subsets_5, table_4096,
     table = coalition_table(five_players, all_subsets_5, Grid(4096))
     assert len(calls) == 18
     np.testing.assert_array_equal(table.masses, table_4096.masses)
+
+
+def test_unsplit_cells_are_the_largest_member_mass(
+        five_players, all_subsets_5, table_4096, monkeypatch):
+    # densities are evaluated at the cell edges only, never at midpoints;
+    # a cell whose two edge-dominant members agree holds the largest member
+    # mass, bit for bit, and a split cell is never below it
+    grid = table_4096.grid
+    midpoints = (np.arange(grid.cell_count) + 0.5) / grid.cell_count
+    array_calls = []
+    evaluate = fairdiv.measures.density_eval
+
+    def spy(spec, x):
+        out = evaluate(spec, x)
+        if np.ndim(x):
+            array_calls.append((np.array(x), out))
+        return out
+
+    monkeypatch.setattr(fairdiv.measures, "density_eval", spy)
+    table = coalition_table(five_players, all_subsets_5, grid)
+    np.testing.assert_array_equal(table.masses, table_4096.masses)
+    assert not any(np.array_equal(x, midpoints) for x, _ in array_calls)
+
+    # one array call per player, at the (clipped) edges
+    assert len(array_calls) == len(five_players)
+    edges = np.clip(grid.edges, 1e-12, 1.0 - 1e-12)
+    assert all(np.array_equal(x, edges) for x, _ in array_calls)
+    at_edges = np.vstack([out for _, out in array_calls])
+    player_masses = np.vstack([cell_masses(p, grid) for p in five_players])
+    unsplit = 0
+    for s, row in zip(table.coalitions, table.masses):
+        largest = player_masses[list(s)].max(axis=0)
+        dominant = at_edges[list(s)].argmax(axis=0)
+        agree = dominant[:-1] == dominant[1:]
+        assert np.array_equal(row[agree], largest[agree])
+        assert np.all(row[~agree] >= largest[~agree])
+        unsplit += int(agree.sum())
+    assert unsplit == 31 * grid.cell_count - 75  # 75 split cells
 
 
 def _rows_alone_match(players, subsets, grid):
