@@ -30,7 +30,9 @@ to its merged intervals.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from argparse import Namespace
 from dataclasses import replace
@@ -216,14 +218,32 @@ def _coalition_label(s) -> str:
     return ",".join(str(i + 1) for i in sorted(s))
 
 
+def _unwritable(path: str, reason) -> ConfigError:
+    return ConfigError(f"cannot write {path}: {reason}")
+
+
+def _check_out(spec: Namespace) -> None:
+    """Reject an ``--out`` that is a directory or whose parent is not an
+    existing directory, before anything is solved.  The file is not opened
+    here, so a run that fails later leaves it untouched."""
+    if not spec.out:
+        return
+    if os.path.isdir(spec.out):
+        raise _unwritable(spec.out, os.strerror(errno.EISDIR))
+    try:
+        # a trailing separator makes stat fail unless the parent is a directory
+        os.stat(os.path.join(os.path.dirname(spec.out) or os.curdir, ""))
+    except OSError as e:
+        raise _unwritable(spec.out, e.strerror or e) from None
+
+
 def _emit(spec: Namespace, text: str) -> None:
     if spec.out:
         try:
             with open(spec.out, "w", encoding="utf-8") as f:
                 f.write(text)
         except OSError as e:
-            raise ConfigError(
-                f"cannot write {spec.out}: {e.strerror or e}") from None
+            raise _unwritable(spec.out, e.strerror or e) from None
     else:
         sys.stdout.write(text)
 
@@ -367,6 +387,7 @@ def run(spec: Namespace) -> int:
         return EXIT_PARSE
     try:
         _check_flags(spec)
+        _check_out(spec)
         return _DISPATCH[spec.command](spec, problem)
     except ConfigError as e:
         print(f"fairdiv: invalid configuration: {e}", file=sys.stderr)

@@ -9,14 +9,18 @@ module also turns densities into per-cell masses.
 A coalition's cell mass is its largest member mass.  Where the members
 dominating at the cell's two edges differ, it is the larger of that and the
 mass split at their crossing.  The mass is exact when dominance changes at
-most once inside the cell, and otherwise a lower bound.
+most once inside the cell, and otherwise a lower bound.  Rows are built by a
+prefix walk in O(K) each: a row extends its prefix's largest member mass and
+edge-dominant member by one player, ties going to the lowest index.
 
-Beta densities and CDFs are closed forms from ``scipy.special``, one code
-path for scalar and array arguments.
+Beta densities and CDFs are closed forms from ``scipy.special``, one
+expression for scalar and array arguments; root finds evaluate densities on
+plain floats through ``_density_at``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -101,26 +105,43 @@ def density_eval(spec: DensitySpec, x):
 
     A beta density is exp(xlogy(a-1, x) + xlog1py(b-1, -x) - betaln(a, b)),
     from ``scipy.special``: 0, finite or inf at x = 0 and 1 as a and b are
-    above, at or below 1.
+    above, at or below 1.  A scalar x goes through ``_density_at``.
     """
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0.0) or np.any(xs > 1.0):
         raise ValueError("density argument outside [0,1]")
+    with np.errstate(over="ignore"):  # inf right next to a pole at 0 or 1
+        if np.ndim(x) == 0:
+            return float(_density_at(spec)(float(xs)))
+        if spec.kind == "beta":
+            return _density_at(spec)(xs)
     if spec.kind == "uniform":
-        out = np.ones_like(xs)
-    elif spec.kind == "beta":
-        with np.errstate(over="ignore"):  # inf right next to a pole at 0 or 1
-            out = np.exp(special.xlogy(spec.a - 1.0, xs)
-                         + special.xlog1py(spec.b - 1.0, -xs)
-                         - special.betaln(spec.a, spec.b))
-    else:
-        bp = np.asarray(spec.breakpoints)
-        idx = np.clip(np.searchsorted(bp, xs, side="right") - 1,
-                      0, len(spec.values) - 1)
-        out = np.asarray(spec.values)[idx]
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+        return np.ones_like(xs)
+    bp = np.asarray(spec.breakpoints)
+    idx = np.clip(np.searchsorted(bp, xs, side="right") - 1,
+                  0, len(spec.values) - 1)
+    return np.asarray(spec.values)[idx]
+
+
+def _density_at(spec: DensitySpec):
+    """The density as a function of one float in [0,1], unchecked.
+
+    Built once per spec and then called on plain floats, so a call pays no
+    array conversion, range check or ``betaln``.  A piecewise density finds
+    its piece with ``bisect_right``, which matches ``searchsorted(side=
+    "right")``; the beta function is the same ``scipy.special`` expression
+    that ``density_eval`` applies to arrays, so both agree bit for bit.
+    """
+    if spec.kind == "uniform":
+        return lambda x: 1.0
+    if spec.kind == "beta":
+        am1, bm1 = spec.a - 1.0, spec.b - 1.0
+        log_norm = special.betaln(spec.a, spec.b)
+        return lambda x: np.exp(special.xlogy(am1, x)
+                                + special.xlog1py(bm1, -x) - log_norm)
+    bp, vals = spec.breakpoints, spec.values
+    last = len(vals) - 1
+    return lambda x: vals[min(max(bisect_right(bp, x) - 1, 0), last)]
 
 
 def density_cdf(spec: DensitySpec, x):
@@ -176,7 +197,9 @@ class MeasureTable:
     Rows are aligned with ``coalitions``; each coalition is a sorted tuple of
     0-based player indices.  Each mass integrates the coalition density, the
     max over members, over one cell: exactly when dominance changes at most
-    once inside the cell, else from below (see ``coalition_table``).
+    once inside the cell, else from below.  ``coalition_table`` builds each
+    row in O(K) from its prefix's row, keeping a stack of at most n levels;
+    an edge tie goes to the lowest member index.
     """
 
     grid: Grid
@@ -212,29 +235,6 @@ class MeasureTable:
         )
 
 
-def _coalition_row(specs, members, edges_f, player_masses, grid,
-                   split_masses):
-    """Cell masses for one coalition: the largest member mass, raised to
-    the split mass (the left edge-dominant member up to the crossing, the
-    right one after it) where the edge-dominant members differ.  A second
-    change of dominance inside a cell is not resolved, so that cell's mass
-    is a lower bound.  ``split_masses``, shared by the caller across the
-    rows of one table, holds each split mass once under (left-dominant
-    player, right-dominant player, cell)."""
-    members = list(members)
-    masses = player_masses[members].max(axis=0)
-    arg_edge = edges_f[members].argmax(axis=0)
-    arg_left, arg_right = arg_edge[:-1], arg_edge[1:]
-
-    for k in np.nonzero(arg_left != arg_right)[0]:
-        key = (members[arg_left[k]], members[arg_right[k]], int(k))
-        mass = split_masses.get(key)
-        if mass is None:
-            mass = split_masses[key] = _split_cell_mass(specs, *key, grid)
-        masses[k] = max(mass, masses[k])
-    return masses
-
-
 def _split_cell_mass(specs, ia, ib, k, grid) -> float:
     """Mass of cell k with player ia dominating left of the crossing and ib
     right of it."""
@@ -245,16 +245,28 @@ def _split_cell_mass(specs, ia, ib, k, grid) -> float:
 
 
 def _crossing_point(spec_a, spec_b, xl, xr) -> float:
-    """Point in (xl, xr) where density a stops dominating density b."""
+    """Point in (xl, xr) where density a stops dominating density b.
+
+    Most crossings meet a piecewise jump, where brentq falls back to
+    bisection and evaluates both densities some fifty times, so they are
+    evaluated as plain floats by ``_density_at``.  That function runs the
+    same ``scipy.special`` calls in the same order as ``density_eval``, and
+    a piecewise lookup with ``bisect_right`` lands on the same piece as
+    ``searchsorted(side="right")``, so every function value, and with it
+    every brentq iterate and split mass, is bit for bit what evaluating
+    through ``density_eval`` gives.
+    """
     lo = max(xl, _EDGE_EPS)
     hi = min(xr, 1.0 - _EDGE_EPS)
+    density_a, density_b = _density_at(spec_a), _density_at(spec_b)
 
     def diff(x):
-        return density_eval(spec_a, x) - density_eval(spec_b, x)
+        return density_a(x) - density_b(x)
 
-    fa, fb = diff(lo), diff(hi)
-    if np.isfinite(fa) and np.isfinite(fb) and fa > 0 > fb:
-        return float(optimize.brentq(diff, lo, hi, xtol=1e-15))
+    with np.errstate(over="ignore"):  # inf right next to a pole at 0 or 1
+        fa, fb = diff(lo), diff(hi)
+        if np.isfinite(fa) and np.isfinite(fb) and fa > 0 > fb:
+            return float(optimize.brentq(diff, lo, hi, xtol=1e-15))
     return 0.5 * (xl + xr)
 
 
@@ -268,6 +280,15 @@ def coalition_table(players, subsets, grid: Grid) -> MeasureTable:
     dominance changes at most once inside the cell, a lower bound otherwise.
     A split mass depends only on the ordered pair and the cell, so it is
     computed once per table however many rows contain the pair.
+
+    Rows are built by a prefix walk in O(K) each: the sorted member tuples
+    are visited in lexicographic order, and a stack holds one level per
+    member of the current prefix (at most n levels) with its largest member
+    mass, edge-dominant density value and edge-dominant player.  A row
+    extends its longest prefix on the stack by one member at a time; a
+    later member takes an edge only with a strictly larger density, so ties
+    go to the lowest index.  Rows come back in input order; duplicates and
+    rows whose prefixes were not requested need nothing special.
     """
     subsets = [tuple(sorted(set(s))) for s in subsets]
     if not subsets:
@@ -285,8 +306,38 @@ def coalition_table(players, subsets, grid: Grid) -> MeasureTable:
 
     masses = np.empty((len(subsets), grid.cell_count))
     split_masses: dict[tuple[int, int, int], float] = {}
-    for i, s in enumerate(subsets):
-        masses[i] = _coalition_row(
-            players, s, edges_f, player_masses, grid, split_masses)
+    prefix: tuple[int, ...] = ()
+    stack: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for i in sorted(range(len(subsets)), key=subsets.__getitem__):
+        s = subsets[i]
+        common = 0
+        for a, b in zip(prefix, s):
+            if a != b:
+                break
+            common += 1
+        del stack[common:]
+        for p in s[common:]:
+            if stack:
+                largest, value, player = stack[-1]
+                wins = edges_f[p] > value
+                stack.append((np.maximum(largest, player_masses[p]),
+                              np.where(wins, edges_f[p], value),
+                              np.where(wins, p, player)))
+            else:
+                stack.append((player_masses[p], edges_f[p],
+                              np.full(grid.cell_count + 1, p)))
+        prefix = s
+
+        row = masses[i]
+        row[:] = stack[-1][0]
+        player = stack[-1][2]
+        split = np.flatnonzero(player[:-1] != player[1:])
+        for ia, ib, k in zip(player[split].tolist(),
+                             player[split + 1].tolist(), split.tolist()):
+            mass = split_masses.get((ia, ib, k))
+            if mass is None:
+                mass = split_masses[ia, ib, k] = _split_cell_mass(
+                    players, ia, ib, k, grid)
+            row[k] = max(mass, row[k])
 
     return MeasureTable(grid=grid, coalitions=tuple(subsets), masses=masses)

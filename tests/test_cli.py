@@ -331,6 +331,36 @@ def test_unwritable_out_exit_code(one_player_file, tmp_path, capsys, out):
     assert "cannot write" in captured.err
 
 
+def _never_solve(*args, **kwargs):
+    raise AssertionError("solved before --out was checked")
+
+
+@pytest.mark.parametrize("command, out", [("game", "missing/x.csv"),
+                                          ("shapley", ".")])
+def test_unwritable_out_fails_before_the_solve(tmp_path, capsys, monkeypatch,
+                                               command, out):
+    for name in ("full_game", "cutting_plane_value", "pre_division_weights"):
+        monkeypatch.setattr(fairdiv.cli, name, _never_solve)
+    rc = main(["--problem", BUNDLED_PROBLEM, "--command", command,
+               "--out", str(tmp_path / out)])
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_line_error(captured.err)
+    assert "cannot write" in captured.err
+
+
+def test_out_file_untouched_by_a_failed_run(one_player_file, tmp_path,
+                                            capsys):
+    out = tmp_path / "kept.txt"
+    out.write_text("earlier output\n")
+    rc = main(["--problem", one_player_file, "--command", "solve",
+               "--grid", "0", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    _one_line_error(capsys.readouterr().err)
+    assert out.read_text() == "earlier output\n"
+
+
 @pytest.mark.parametrize("shape", [1e308, 1e307, 1e-320])
 def test_beta_with_non_finite_normalizer_exit_code(tmp_path, capsys, shape):
     path = tmp_path / "extreme.json"

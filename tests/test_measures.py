@@ -257,6 +257,90 @@ def test_shared_crossings_match_single_row_builds_random(seed):
     _rows_alone_match(players, subsets, Grid(2048))
 
 
+def test_prefix_walk_shuffled_rows_match_single_row_builds(five_players,
+                                                          all_subsets_5):
+    order = np.random.default_rng(5).permutation(len(all_subsets_5))
+    _rows_alone_match(five_players, [all_subsets_5[i] for i in order],
+                      Grid(4096))
+
+
+def test_prefix_walk_duplicated_rows_match_single_row_builds(five_players,
+                                                            all_subsets_5):
+    subsets = all_subsets_5[::3] + [(0, 1, 2)] * 2 + all_subsets_5[::5]
+    _rows_alone_match(five_players, subsets, Grid(4096))
+
+
+@pytest.mark.parametrize("structure", [[(1, 3, 4), (0, 2)],
+                                       [(4,), (0, 1, 2, 3)]])
+def test_prefix_walk_rows_without_their_prefixes(five_players, structure):
+    # the prefixes (1,), (1, 3) and (0,), (0, 1), (0, 1, 2) are never rows
+    _rows_alone_match(five_players, structure, Grid(4096))
+
+
+def _gathered_rows(players, subsets, grid):
+    """Each row from one gather over its members: the largest member mass,
+    raised to the split mass where the members dominating at a cell's two
+    edges (argmax, so the lowest index on ties) differ."""
+    edges = np.clip(grid.edges, 1e-12, 1.0 - 1e-12)
+    at_edges = np.vstack([density_eval(p, edges) for p in players])
+    player_masses = np.vstack([cell_masses(p, grid) for p in players])
+    rows = []
+    for s in subsets:
+        members = sorted(s)
+        row = player_masses[members].max(axis=0)
+        dominant = np.array(members)[at_edges[members].argmax(axis=0)]
+        for k in np.flatnonzero(dominant[:-1] != dominant[1:]):
+            split = fairdiv.measures._split_cell_mass(
+                players, dominant[k], dominant[k + 1], k, grid)
+            row[k] = max(split, row[k])
+        rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_prefix_walk_matches_per_row_gathers(seed):
+    rng = np.random.default_rng(seed)
+    players = [random_density(rng) for _ in range(5)]
+    subsets = [s for r in range(1, 6)
+               for s in itertools.combinations(range(5), r)]
+    subsets = [subsets[i] for i in rng.permutation(len(subsets))]
+    np.testing.assert_array_equal(
+        coalition_table(players, subsets, Grid(1024)).masses,
+        _gathered_rows(players, subsets, Grid(1024)))
+
+
+def test_prefix_walk_breaks_edge_ties_like_argmax():
+    # the uniform, Beta(1, 1) and flat piecewise densities tie at every
+    # edge, and the first piecewise density ties with them on [0, 0.3); a
+    # tied edge stays with the lowest index, and split masses differ from
+    # the largest member mass in the last bits, so a tie given to another
+    # member changes cells
+    players = [DensitySpec.uniform(),
+               DensitySpec.piecewise([0.0, 0.3, 0.6, 1.0], [1.0, 0.4, 1.45]),
+               DensitySpec.beta(2, 2),
+               DensitySpec.piecewise([0.0, 0.5, 1.0], [1.0, 1.0]),
+               DensitySpec.beta(1, 1)]
+    subsets = [s for r in range(1, 6)
+               for s in itertools.combinations(range(5), r)]
+    np.testing.assert_array_equal(
+        coalition_table(players, subsets, Grid(10)).masses,
+        _gathered_rows(players, subsets, Grid(10)))
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_permuted_subsets_permute_the_rows(seed):
+    rng = np.random.default_rng(seed)
+    players = [random_density(rng) for _ in range(6)]
+    subsets = [s for r in range(1, 7)
+               for s in itertools.combinations(range(6), r)]
+    order = rng.permutation(len(subsets))
+    table = coalition_table(players, subsets, Grid(2048))
+    permuted = coalition_table(players, [subsets[i] for i in order],
+                               Grid(2048))
+    assert permuted.coalitions == tuple(subsets[i] for i in order)
+    np.testing.assert_array_equal(permuted.masses, table.masses[order])
+
+
 def _beta_shapes():
     """Seeded (a, b) in [0.3, 40], log-uniform, plus shapes at a = 1 or
     b = 1 on both sides of 1."""
@@ -292,6 +376,55 @@ def test_beta_density_matches_scipy_stats(a, b):
     assert np.array_equal(density_cdf(spec, BETA_X),
                           stats.beta.cdf(BETA_X, a, b))
     assert density_cdf(spec, 0.37) == stats.beta.cdf(0.37, a, b)
+
+
+def _scalar_values(spec, xs):
+    at = fairdiv.measures._density_at(spec)
+    return np.array([at(x) for x in xs.tolist()])
+
+
+@pytest.mark.parametrize("a, b", _beta_shapes())
+def test_scalar_beta_density_bitwise(a, b):
+    spec = DensitySpec.beta(a, b)
+    xs = BETA_X[(BETA_X > 0.0) & (BETA_X < 1.0)]
+    assert np.array_equal(_scalar_values(spec, xs), density_eval(spec, xs))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scalar_piecewise_density_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    spec = random_density(rng)
+    while spec.kind != "piecewise":
+        spec = random_density(rng)
+    bp = np.asarray(spec.breakpoints)
+    xs = np.clip(np.concatenate([bp, np.nextafter(bp, -1.0),
+                                 np.nextafter(bp, 2.0), [0.0, 1.0]]),
+                 0.0, 1.0)
+    assert np.array_equal(_scalar_values(spec, xs), density_eval(spec, xs))
+
+
+def test_scalar_uniform_density_bitwise():
+    spec = DensitySpec.uniform()
+    assert np.array_equal(_scalar_values(spec, BETA_X),
+                          density_eval(spec, BETA_X))
+
+
+def test_table_build_makes_no_scalar_density_eval(five_players, all_subsets_5,
+                                                  table_4096, monkeypatch):
+    # root finds evaluate densities as plain floats, not through the
+    # public array-API function
+    scalar_calls = []
+    evaluate = fairdiv.measures.density_eval
+
+    def spy(spec, x):
+        if np.ndim(x) == 0:
+            scalar_calls.append(x)
+        return evaluate(spec, x)
+
+    monkeypatch.setattr(fairdiv.measures, "density_eval", spy)
+    table = coalition_table(five_players, all_subsets_5, Grid(4096))
+    assert scalar_calls == []
+    np.testing.assert_array_equal(table.masses, table_4096.masses)
 
 
 def test_import_leaves_scipy_stats_unloaded():
