@@ -18,14 +18,14 @@ the ``partition`` and ``trace`` commands; the step rule of ``SolverConfig``
 Both solvers start at the uniform alpha.
 """
 
-from .bounds import lower_bound, upper_bound
+from .bounds import lower_bound
 from .coalitions import (GameEntry, GameTable, ShapleyResult, WeightSystem,
                          cardinality_weights, full_game, pre_division_weights,
                          shapley, weight_of)
 from .cutting import cutting_plane_value
 from .measures import (DensitySpec, Grid, MeasureTable, cell_masses,
                        coalition_table, density_cdf, density_eval)
-from .partition import (Allocation, PvvResult, WeightedProblem, g_eval,
+from .partition import (Allocation, PvvResult, WeightedProblem,
                         maxsum_partition, weighted_problem)
 from .problemfile import (PlayerSpec, Problem, ProblemFormatError,
                           load_problem, save_problem)
@@ -39,11 +39,10 @@ __all__ = [
     "ProblemFormatError", "PvvResult", "ShapleyResult", "SolveResult",
     "SolverConfig", "StepRule", "WeightSystem", "WeightedProblem",
     "cardinality_weights", "cell_masses", "clipped_step", "coalition_table",
-    "cutting_plane_value", "density_cdf", "density_eval",
-    "full_game", "g_eval", "load_problem", "lower_bound",
-    "maxsum_partition", "pre_division_weights", "save_problem", "shapley",
-    "solve_partition", "solve_value", "update_alpha", "upper_bound",
-    "weight_of", "weighted_problem",
+    "cutting_plane_value", "density_cdf", "density_eval", "full_game",
+    "load_problem", "lower_bound", "maxsum_partition", "pre_division_weights",
+    "save_problem", "shapley", "solve_partition", "solve_value",
+    "update_alpha", "weight_of", "weighted_problem",
 ]
 
 __version__ = "0.1.0"

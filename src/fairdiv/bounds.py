@@ -13,10 +13,6 @@ import numpy as np
 from .partition import PvvResult
 
 
-def upper_bound(pvv: PvvResult) -> float:
-    return pvv.g_value
-
-
 def lower_bound(pvv: PvvResult, totals) -> float:
     """Diagonal height of the hull of u and the axis points, closed form.
 

@@ -24,7 +24,9 @@ json``.  Every table (``partition`` cells, ``game``, ``shapley`` and the
 per-iterate ``trace``) goes through one record writer: CSV headed by the
 record keys, strings quoted and numbers in ``fmt_num``, or a JSON list of
 the same records.  ``partition --format json`` instead maps each coalition
-to its merged intervals.
+to its merged intervals.  Certified bounds (the ``solve`` bracket and the
+``lb``/``ub`` columns of the ``trace`` CSV) are rounded outward by
+``fmt_bound``, so a printed bracket always contains its value.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ import os
 import sys
 from argparse import Namespace
 from dataclasses import replace
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
+from functools import partial
 
 from .coalitions import (PRE_SOLVE_CONFIG, GameTable, WeightSystem,
                          cardinality_weights, full_game, pre_division_weights,
@@ -214,6 +218,23 @@ def fmt_num(x: float) -> str:
     return s
 
 
+def fmt_bound(x: float, rounding: str) -> str:
+    """``fmt_num`` of x rounded to 6 significant digits toward -inf
+    (``ROUND_FLOOR``, for a lower bound) or +inf (``ROUND_CEILING``, for an
+    upper bound).  Rounding the shortest repr of x, which reads back as x,
+    keeps x itself where it has at most 6 digits; the printed bound read
+    back as a float is then never on the wrong side of x."""
+    s = fmt_num(x)
+    # rounding to nearest is the directed rounding wherever it lands on x or
+    # on the bound's side of it, and it is much cheaper than the decimal path
+    if float(s) == x or (float(s) < x) == (rounding == ROUND_FLOOR):
+        return s
+    d = Decimal(repr(x))
+    if d.is_finite() and d:
+        d = d.quantize(Decimal(1).scaleb(d.adjusted() - 5), rounding=rounding)
+    return fmt_num(float(d))
+
+
 def _coalition_label(s) -> str:
     return ",".join(str(i + 1) for i in sorted(s))
 
@@ -262,13 +283,20 @@ def _csv_field(value) -> str:
     return fmt_num(value)
 
 
-def _emit_records(spec: Namespace, records: list[dict]) -> None:
-    """One dict per row: a JSON list, or CSV headed by the dict keys."""
+def _emit_records(spec: Namespace, records: list[dict],
+                  outward: dict[str, str] | None = None) -> None:
+    """One dict per row: a JSON list, or CSV headed by the dict keys.
+    ``outward`` maps the keys of certified bounds to their ``fmt_bound``
+    rounding in CSV; JSON writes every float in full."""
     if spec.out_format == "json":
         _emit(spec, json.dumps(records, indent=2) + "\n")
         return
+    outward = outward or {}
+    fields = [partial(fmt_bound, rounding=outward[key]) if key in outward
+              else _csv_field for key in records[0]]
     lines = [",".join(records[0])]
-    lines += [",".join(map(_csv_field, rec.values())) for rec in records]
+    lines += [",".join(f(v) for f, v in zip(fields, rec.values()))
+              for rec in records]
     _emit(spec, "\n".join(lines) + "\n")
 
 
@@ -278,7 +306,8 @@ def _cmd_solve(spec: Namespace, problem: Problem) -> int:
                           "shapley and trace")
     wp, weights_converged = _structure_problem(spec, problem)
     res = cutting_plane_value(wp, _solver_config(spec))
-    _emit(spec, f"[{fmt_num(res.lower)}, {fmt_num(res.upper)}]\n")
+    _emit(spec, f"[{fmt_bound(res.lower, ROUND_FLOOR)}, "
+                f"{fmt_bound(res.upper, ROUND_CEILING)}]\n")
     return EXIT_OK if res.converged and weights_converged else EXIT_UNCONVERGED
 
 
@@ -358,7 +387,8 @@ def _cmd_trace(spec: Namespace, problem: Problem) -> int:
         dict(zip(keys, (t, ub, lb, g, vbar, step, *alpha.tolist(),
                         *u.tolist())))
         for t, ub, lb, g, vbar, step, alpha, u in zip(
-            tr.t, tr.ub, tr.lb, tr.g, tr.vbar, tr.step, tr.alpha, tr.u)])
+            tr.t, tr.ub, tr.lb, tr.g, tr.vbar, tr.step, tr.alpha, tr.u)],
+        outward={"lb": ROUND_FLOOR, "ub": ROUND_CEILING})
     return EXIT_OK if res.converged and weights_converged else EXIT_UNCONVERGED
 
 

@@ -15,6 +15,17 @@ rather than read off the LP objective: any lambda on the simplex gives a
 valid bound, so the LP's rounding never enters a certified number.  The upper
 bound is the smallest g seen.
 
+For the same reason each iteration reads alpha and lambda straight off the
+simplex tableau (``tableau_solution``): rounding that the tableau gathers
+can only move them a little along the simplex, which costs at most a
+slightly worse query or bound, never a wrong one.  The basis is re-solved
+once, for the final lambda behind ``shares``.  The closed-form diagonal
+bound (``bounds.lower_bound``) is taken at the first, uniform query only:
+the master LP then holds that value vector and the axis points, so its
+lambda bound is at least as high.  A value vector already held (a hashed
+lookup of its bytes) stalls the solve, since the master LP would repeat
+itself.
+
 The master LP is small (one row per held column, one column per coalition)
 and is solved exactly by a dense simplex (``_MasterLP``).  A new column is
 one more row, so one tableau lives for the whole solve and is re-solved by
@@ -68,15 +79,20 @@ class _MasterLP:
     ``add`` writes the row c'y <= 1 of a new column in the current nonbasic
     variables, with its slack basic.  The old basis stays dual feasible, so
     a dual-simplex pivot or two restores optimality, where a cold solve
-    takes about eight.  One instance lives for one solve, at one scale.
+    takes about eight.  One instance lives for one solve, at one scale;
+    ``pivots`` counts its pivots, cold rebuilds included.
     """
 
     def __init__(self, columns: np.ndarray, scale: float):
         (self.n, self.m), self.scale = columns.shape, scale
+        self.pivots = 0
         self._c = np.resize(columns, (2 * self.n, self.m))
         self.columns = self._c[:self.n]
         self._t = np.empty((len(self._c) + 1, self.m + 1))
         self._row_var = np.empty(len(self._c), dtype=np.intp)
+        # a new column's value per variable: c_j / scale for y_j, 0 for
+        # every slack
+        self._value = np.zeros(self.m + len(self._c))
         self._cold()
 
     def _cold(self) -> None:
@@ -98,17 +114,17 @@ class _MasterLP:
             self._c = np.resize(self._c, (2 * n, m))
             self._t = np.resize(self._t, (2 * n + 1, m + 1))
             self._row_var = np.resize(self._row_var, 2 * n)
+            self._value = np.zeros(m + 2 * n)
         self._c[n] = column
         self.n, self.columns = n + 1, self._c[:n + 1]
-        # c'y with each basic y_j substituted from its row
-        c = column / self.scale
-        row = np.zeros(m + 1)
+        # 1 - c'y, with each basic variable substituted from its row: the
+        # slack rows weigh 0
+        value, t = self._value, self._t
+        np.divide(column, self.scale, out=value[:m])
+        row = t[n + 1]
+        np.take(value, self._col_var, out=row[:m])
         row[m] = 1.0
-        y_cols = self._col_var < m
-        row[:m][y_cols] = c[self._col_var[y_cols]]
-        y_rows = (self._row_var[:n] < m).nonzero()[0]
-        row -= c[self._row_var[y_rows]] @ self._t[1 + y_rows]
-        self._t[n + 1] = row
+        row -= value[self._row_var[:n]] @ t[1:n + 1]
         self._row_var[n] = m + n
         if not self._solve(_WARM_PIVOTS):
             self._cold()
@@ -146,6 +162,7 @@ class _MasterLP:
             self._pivot(1 + r, k)
 
     def _pivot(self, r: int, k: int) -> None:
+        self.pivots += 1
         t = self._t[:self.n + 1]
         p = t[r, k]
         pivot_row = t[r] / p
@@ -156,6 +173,21 @@ class _MasterLP:
         t[r, k] = 1.0 / p
         self._col_var[k], self._row_var[r - 1] = (self._row_var[r - 1],
                                                   self._col_var[k])
+
+    def tableau_solution(self) -> tuple[np.ndarray, np.ndarray]:
+        """alpha and lambda as the tableau holds them, clipped at 0 and
+        normalized onto the simplex: y_j is the right-hand side of its row
+        where y_j is basic (else 0), and mu_i the row-0 entry of slack i
+        where that slack is nonbasic (else 0)."""
+        n, m = self.n, self.m
+        t = self._t
+        primal = np.zeros(m + n)
+        primal[self._row_var[:n]] = t[1:n + 1, m]
+        dual = np.zeros(m + n)
+        dual[self._col_var] = t[0, :m]
+        y = np.maximum(primal[:m], 0.0)
+        mu = np.maximum(dual[m:], 0.0)
+        return y / y.sum(), mu / mu.sum()
 
     def solution(self) -> tuple[np.ndarray, np.ndarray]:
         """alpha = y / sum y and lambda = mu / sum mu, both on the simplex.
@@ -177,12 +209,6 @@ class _MasterLP:
         return y / y.sum(), mu / mu.sum()
 
 
-def _master_lp(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """alpha and lambda of the master LP over ``columns``, shape (n, m),
-    solved cold; raises ``RuntimeError`` if the pivot cap is reached."""
-    return _MasterLP(columns, columns.max()).solution()
-
-
 @dataclass(frozen=True, kw_only=True)
 class CuttingResult(SolveResult):
     """A cutting-plane solve, with the held columns and their assignments.
@@ -190,11 +216,18 @@ class CuttingResult(SolveResult):
     ``columns`` stacks the m axis points, then every held value vector;
     ``assignments`` holds the cell assignment of each non-axis column, in
     the same order, and ``lam`` the master LP's final lambda over them.
+    ``stop_reason`` is why the loop stopped: ``"epsilon"`` (bracket
+    narrower than epsilon), ``"exact"`` (narrower than the rounding floor
+    of 1e-12, for an epsilon below that), ``"stall"`` (the oracle returned
+    a held column) or ``"max_iter"``; ``pivots`` counts the master LP's
+    simplex pivots.
     """
 
     columns: np.ndarray
     assignments: tuple[np.ndarray, ...]
     lam: np.ndarray
+    stop_reason: str
+    pivots: int
 
     @cached_property
     def shares(self) -> np.ndarray:
@@ -221,10 +254,11 @@ def cutting_plane_value(problem: WeightedProblem,
     Stops when the bracket is narrower than ``config.epsilon`` or pinched
     exactly (converged), when the oracle returns a value vector already held
     (the master LP would repeat itself; not converged), or after
-    ``config.max_iterations`` master-LP iterations (not converged).  The
-    step rule and ``record_trace`` of ``config`` are not used.  The result
-    carries the query point with the smallest g, and the held columns with
-    their lambda-mix ``shares``.
+    ``config.max_iterations`` master-LP iterations (not converged); the
+    result's ``stop_reason`` says which.  The step rule and
+    ``record_trace`` of ``config`` are not used.  The result carries the
+    query point with the smallest g, and the held columns with their
+    lambda-mix ``shares``.
     """
     totals = problem.totals
     pvv = maxsum_partition(problem, np.full(problem.m, 1.0 / problem.m))
@@ -232,26 +266,30 @@ def cutting_plane_value(problem: WeightedProblem,
     lb = lower_bound(pvv, totals)
     # every value vector is at most totals, up to summation order
     lp = _MasterLP(np.vstack([np.diag(totals), pvv.u]), totals.max())
+    held = {u.tobytes() for u in lp.columns}
     assignments = [pvv.allocation.assignment]
     stalled = False
 
     t = 0
     while True:
-        if best.g_value - lb < max(config.epsilon, _EXACT_STOP_TOL):
-            converged = True
+        width = best.g_value - lb
+        reason = ("epsilon" if width < config.epsilon
+                  else "exact" if width < _EXACT_STOP_TOL
+                  else "stall" if stalled
+                  else "max_iter" if t >= config.max_iterations
+                  else None)
+        if reason is not None:
             break
-        if stalled or t >= config.max_iterations:
-            converged = False
-            break
-        alpha, lam = lp.solution()
+        alpha, lam = lp.tableau_solution()
         lb = max(lb, float((lam @ lp.columns).min()))
         pvv = maxsum_partition(problem, alpha)
         t += 1
         if pvv.g_value < best.g_value:
             best = pvv
-        lb = max(lb, lower_bound(pvv, totals))
-        stalled = bool((lp.columns == pvv.u).all(axis=1).any())
+        key = pvv.u.tobytes()
+        stalled = key in held
         if not stalled:
+            held.add(key)
             lp.add(pvv.u)
             assignments.append(pvv.allocation.assignment)
 
@@ -259,6 +297,7 @@ def cutting_plane_value(problem: WeightedProblem,
     # cells in different orders and may differ in the last bit
     return CuttingResult(lower=min(lb, best.g_value), upper=best.g_value,
                          alpha=best.alpha, pvv=best, iterations=t,
-                         converged=converged, columns=lp.columns,
-                         assignments=tuple(assignments),
-                         lam=lp.solution()[1])
+                         converged=reason in ("epsilon", "exact"),
+                         columns=lp.columns, assignments=tuple(assignments),
+                         lam=lp.solution()[1], stop_reason=reason,
+                         pivots=lp.pivots)

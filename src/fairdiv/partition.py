@@ -149,7 +149,3 @@ def maxsum_partition(problem: WeightedProblem, alpha) -> PvvResult:
                      allocation=Allocation(problem.grid, assignment),
                      u=u, g_value=g)
 
-
-def g_eval(problem: WeightedProblem, alpha) -> float:
-    """g(alpha) = sum over cells of max_j alpha_j mu_j^w(cell); convex."""
-    return maxsum_partition(problem, alpha).g_value

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from fairdiv import (Grid, SolverConfig, WeightedProblem, cardinality_weights,
-                     full_game, g_eval, lower_bound, maxsum_partition,
+                     full_game, lower_bound, maxsum_partition,
                      pre_division_weights, shapley, solve_partition,
-                     solve_value, upper_bound)
+                     solve_value)
 from fairdiv.coalitions import default_game_config
 from helpers import (brute_force_maxsum, golden_section_min, random_alpha,
                      random_problem)
@@ -145,7 +145,7 @@ def test_criterion_6a_subgradient_inequality():
         alpha = random_alpha(rng, problem.m)
         beta = random_alpha(rng, problem.m)
         res = maxsum_partition(problem, alpha)
-        gap = (g_eval(problem, beta) - res.g_value
+        gap = (maxsum_partition(problem, beta).g_value - res.g_value
                - float(res.u @ (beta - alpha)))
         worst = max(worst, -gap)
     ok = worst <= 1e-9
@@ -173,7 +173,7 @@ def test_criterion_6c_bound_chain():
         problem = random_problem(rng, cells=256)
         res = maxsum_partition(problem, random_alpha(rng, problem.m))
         lo = lower_bound(res, problem.totals)
-        hi = upper_bound(res)
+        hi = res.g_value
         ok &= (res.u.min() - 1e-12 <= lo <= hi + 1e-12
                and hi <= res.u.max() + 1e-12)
     report("criterion 6c", ok,
@@ -226,7 +226,7 @@ def test_criterion_6f_golden_section_oracle():
                                                 max_iterations=20000))
 
         def g_of(a, problem=problem):
-            return g_eval(problem, np.array([a, 1.0 - a]))
+            return maxsum_partition(problem, np.array([a, 1.0 - a])).g_value
 
         _, g_min = golden_section_min(g_of, 0.0, 1.0)
         worst = max(worst, abs(res.midpoint - g_min))

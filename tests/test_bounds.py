@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairdiv import (Grid, SolverConfig, lower_bound, maxsum_partition,
-                     solve_partition, upper_bound)
+                     solve_partition)
 from fairdiv.partition import Allocation, PvvResult
 from helpers import hull_lower_bound, random_alpha, random_problem
 
@@ -64,7 +64,7 @@ def test_prop_chain_on_random_instances():
         pvv = maxsum_partition(problem, random_alpha(rng, problem.m))
         lo = lower_bound(pvv, problem.totals)
         assert pvv.u.min() - 1e-12 <= lo <= pvv.u.max() + 1e-12
-        assert lo <= upper_bound(pvv) + 1e-12
+        assert lo <= pvv.g_value + 1e-12
 
 
 def test_tie_at_max_coordinate():
@@ -79,6 +79,5 @@ def test_tightness_near_equality(competitive_problem):
     res = solve_partition(competitive_problem, SolverConfig(epsilon=1e-3))
     assert res.converged
     spread = res.pvv.spread
-    width = (upper_bound(res.pvv)
-             - lower_bound(res.pvv, competitive_problem.totals))
+    width = res.pvv.g_value - lower_bound(res.pvv, competitive_problem.totals)
     assert width < 10 * spread

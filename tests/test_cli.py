@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 import time
+from decimal import ROUND_CEILING, ROUND_FLOOR
 
 import pytest
 
 import fairdiv
 
 from fairdiv.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, EXIT_PARSE,
-                         EXIT_UNCONVERGED, fmt_num, main)
+                         EXIT_UNCONVERGED, fmt_bound, fmt_num, main)
 from fairdiv.problemfile import MAX_GRID_CELLS
 from conftest import BUNDLED_PROBLEM
 
@@ -62,6 +63,58 @@ def test_solve_bundled_instance(capsys):
     lo, hi = (float(tok) for tok in out.strip("[]").split(","))
     assert hi - lo < 1e-3
     assert lo <= 0.4036 and hi >= 0.4030
+
+
+def _record_solves(monkeypatch) -> list:
+    """Results of every cutting-plane solve that the CLI runs."""
+    results, solve = [], fairdiv.cutting_plane_value
+
+    def recording(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr("fairdiv.cli.cutting_plane_value", recording)
+    return results
+
+
+@pytest.mark.parametrize("epsilon", ["1e-3", "1e-6", "1e-9", "1e-12"])
+def test_printed_bracket_contains_the_value(capsys, monkeypatch, epsilon):
+    results = _record_solves(monkeypatch)
+    rc = main(["--problem", BUNDLED_PROBLEM, "--command", "solve",
+               "--epsilon", epsilon])
+    assert rc == EXIT_OK
+    lo, hi = (float(tok) for tok in
+              capsys.readouterr().out.strip().strip("[]").split(","))
+    (res,) = results
+    assert lo <= res.lower <= res.upper <= hi
+    assert hi - lo <= res.width + 2e-6
+
+
+def test_pinched_bracket_prints_apart(capsys):
+    # the certified bracket is [0.4035535086944879, 0.40355350869448814];
+    # rounding both ends to the nearest 6 digits would print 0.403554 twice
+    rc = main(["--problem", BUNDLED_PROBLEM, "--command", "solve",
+               "--epsilon", "1e-9"])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out == "[0.403553, 0.403554]\n"
+
+
+@pytest.mark.parametrize("x, floor, ceiling", [
+    (0.4035535086944879, "0.403553", "0.403554"),
+    (0.5, "0.5", "0.5"),
+    (0.3, "0.3", "0.3"),
+    (1.0, "1.0", "1.0"),
+    (0.9999995, "0.999999", "1.0"),
+    (-0.4035535, "-0.403554", "-0.403553"),
+    (1234567.0, "1.23456e+06", "1.23457e+06"),
+    (1.2345678e-7, "1.23456e-07", "1.23457e-07"),
+    (0.0, "0.0", "0.0"),
+    (float("inf"), "inf", "inf"),
+])
+def test_fmt_bound_rounds_outward(x, floor, ceiling):
+    assert fmt_bound(x, ROUND_FLOOR) == floor
+    assert fmt_bound(x, ROUND_CEILING) == ceiling
+    assert float(floor) <= x <= float(ceiling)
 
 
 def test_solve_writes_out_file(disjoint_file, tmp_path, capsys):
@@ -235,6 +288,19 @@ def test_trace_csv_layout(capsys):
     assert [line.split(",")[0] for line in lines[1:]] == [
         str(t) for t in range(11)]
     assert lines[1].startswith("0,")
+
+
+def test_trace_csv_bounds_round_outward(capsys):
+    argv = ["--problem", BUNDLED_PROBLEM, "--command", "trace",
+            "--grid", "256", "--max-iter", "30"]
+    main(argv)
+    csv_rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    main(argv + ["--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    for row, full in zip(csv_rows, doc, strict=True):
+        assert float(row["lb"]) <= full["lb"]
+        assert float(row["ub"]) >= full["ub"]
+        assert row["g"] == fmt_num(full["g"])
 
 
 def test_trace_json_matches_csv(capsys):

@@ -3,7 +3,7 @@
 Every file either solves or exits with a documented code, never with a
 traceback or an internal error; a file with NaN, Infinity or a number beyond
 the float range in it, or with more grid cells than the cap, is a parse
-error.
+error.  A printed ``solve`` bracket contains the solver's bracket.
 """
 
 import contextlib
@@ -11,9 +11,11 @@ import io
 import json
 import math
 import sys
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+import fairdiv
 from fairdiv.cli import COMMANDS, EXIT_PARSE, main
 from fairdiv.problemfile import MAX_GRID_CELLS
 
@@ -102,9 +104,21 @@ def test_problem_files_exit_with_documented_codes(tmp_path_factory, doc,
     if coalitions is not None and command in ("solve", "partition", "trace"):
         argv += ["--coalitions", coalitions]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    solves = []
+
+    def recording(*args, **kwargs):
+        solves.append(fairdiv.cutting_plane_value(*args, **kwargs))
+        return solves[-1]
+
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch("fairdiv.cli.cutting_plane_value", recording):
         rc = main(argv)
     assert rc in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
     if _non_finite(doc) or doc["grid_cells"] > MAX_GRID_CELLS:
         assert rc == EXIT_PARSE, err.getvalue()
+    if command == "solve" and rc in (0, 3):
+        lo, hi = (float(tok) for tok in
+                  out.getvalue().strip().strip("[]").split(","))
+        res = solves[-1]
+        assert lo <= res.lower <= res.upper <= hi

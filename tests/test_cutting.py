@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fairdiv import (DensitySpec, Grid, SolverConfig, cutting_plane_value,
                      maxsum_partition, weighted_problem)
-from fairdiv.cutting import _MasterLP, _master_lp
+from fairdiv.cutting import _MasterLP
+from fairdiv.partition import _check_alpha
 from helpers import (cell_lp_value, master_lp_value, random_density,
                      random_problem)
 
@@ -72,6 +75,17 @@ def test_exact_pinch_on_competitive_problem(competitive_problem):
     assert 0.4035534 <= res.lower <= res.upper <= 0.4035536
 
 
+def test_pinch_below_epsilon_reads_exact(competitive_problem):
+    # an epsilon below rounding: the solve stops at the exact pinch
+    res = cutting_plane_value(competitive_problem,
+                              SolverConfig(epsilon=1e-300))
+    assert res.converged
+    assert res.stop_reason == "exact"
+    assert res.width < 1e-12
+    res = cutting_plane_value(competitive_problem, SolverConfig(epsilon=1e-3))
+    assert res.stop_reason == "epsilon"
+
+
 def test_repeated_column_ends_unconverged(competitive_problem, monkeypatch):
     # an oracle that only returns a column already held: the master LP would
     # repeat itself, so the solver must stop rather than run to the cap
@@ -80,8 +94,24 @@ def test_repeated_column_ends_unconverged(competitive_problem, monkeypatch):
                         lambda problem, alpha: first)
     res = cutting_plane_value(competitive_problem, SolverConfig(epsilon=1e-9))
     assert not res.converged
+    assert res.stop_reason == "stall"
     assert res.iterations == 1
     assert res.lower <= res.upper
+
+
+def test_held_axis_column_stalls(competitive_problem, monkeypatch):
+    # the axis rows are held columns too: an oracle that returns the whole
+    # cake's value to coalition 2 repeats the master LP just the same
+    first = maxsum_partition(competitive_problem, np.full(5, 0.2))
+    answers = iter([first, replace(first,
+                                   u=np.diag(competitive_problem.totals)[2])])
+    monkeypatch.setattr("fairdiv.cutting.maxsum_partition",
+                        lambda problem, alpha: next(answers))
+    res = cutting_plane_value(competitive_problem, SolverConfig(epsilon=1e-9))
+    assert not res.converged
+    assert res.stop_reason == "stall"
+    assert res.iterations == 1
+    assert len(res.columns) == 6
 
 
 def test_iteration_cap():
@@ -92,6 +122,7 @@ def test_iteration_cap():
     res = cutting_plane_value(problem, SolverConfig(epsilon=1e-9,
                                                     max_iterations=3))
     assert not res.converged
+    assert res.stop_reason == "max_iter"
     assert res.iterations == 3
     assert res.lower <= res.upper
 
@@ -135,15 +166,19 @@ def _master_lp_cases():
         yield columns, rng.permutation(len(columns))
 
 
-def _assert_master_optimal(columns, alpha, lam):
-    for w in (alpha, lam):
-        assert (w >= 0.0).all()
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
-    # max(C alpha) >= v >= min(lambda C): equal, both are optimal
-    upper = (columns @ alpha).max()
-    lower = (lam @ columns).min()
-    assert upper - lower <= 1e-12 * upper
-    assert upper == pytest.approx(master_lp_value(columns), abs=1e-9)
+def _assert_master_optimal(lp):
+    """Both the tableau read (the loop's alpha and lambda) and the basis
+    re-solve (the final lambda) are on the simplex and optimal."""
+    columns = lp.columns
+    value = master_lp_value(columns)
+    for alpha, lam in (lp.tableau_solution(), lp.solution()):
+        for w in (alpha, lam):
+            _check_alpha(w, len(w))
+        # max(C alpha) >= v >= min(lambda C): equal, both are optimal
+        upper = (columns @ alpha).max()
+        lower = (lam @ columns).min()
+        assert upper - lower <= 1e-12 * upper
+        assert upper == pytest.approx(value, abs=1e-9)
 
 
 def _assert_warm_optimal(columns):
@@ -153,12 +188,13 @@ def _assert_warm_optimal(columns):
     lp = _MasterLP(columns[:m], columns[:m].max())
     for i in range(m, len(columns)):
         lp.add(columns[i])
-        _assert_master_optimal(columns[:i + 1], *lp.solution())
+        _assert_master_optimal(lp)
 
 
 def test_master_lp_is_optimal():
     for columns, order in _master_lp_cases():
-        _assert_master_optimal(columns[order], *_master_lp(columns[order]))
+        _assert_master_optimal(_MasterLP(columns[order],
+                                         columns[order].max()))
 
 
 def test_warm_master_lp_is_optimal():
@@ -196,6 +232,12 @@ def test_warm_start_pivot_count(competitive_problem, monkeypatch):
     res = cutting_plane_value(competitive_problem, SolverConfig(epsilon=1e-9))
     assert res.converged
     assert count[0] <= 100
+
+
+def test_result_counts_pivots(competitive_problem, monkeypatch):
+    count = _count_pivots(monkeypatch)
+    res = cutting_plane_value(competitive_problem, SolverConfig(epsilon=1e-9))
+    assert res.pivots == count[0] > 0
 
 
 def test_cold_rebuild_matches_warm(competitive_problem, monkeypatch):

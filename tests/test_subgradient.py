@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fairdiv import (DensitySpec, Grid, SolverConfig, StepRule, clipped_step,
-                     g_eval, lower_bound, maxsum_partition, solve_partition,
-                     solve_value, update_alpha, upper_bound, weighted_problem)
+                     lower_bound, maxsum_partition, solve_partition,
+                     solve_value, update_alpha, weighted_problem)
 from helpers import golden_section_min, random_problem
 
 
@@ -149,7 +149,7 @@ def test_golden_section_oracle_two_coalitions():
         assert res.converged
 
         def g_of(a):
-            return g_eval(problem, np.array([a, 1.0 - a]))
+            return maxsum_partition(problem, np.array([a, 1.0 - a])).g_value
 
         _, g_min = golden_section_min(g_of, 0.0, 1.0)
         assert abs(res.midpoint - g_min) <= 2 * eps
@@ -186,7 +186,7 @@ def test_certified_bracket_consistent_with_any_single_alpha():
             alpha = np.maximum(alpha, 1e-9)
             pvv = maxsum_partition(problem, alpha / alpha.sum())
             assert lower_bound(pvv, problem.totals) <= ref.upper + 1e-12
-            assert upper_bound(pvv) >= ref.lower - 1e-12
+            assert pvv.g_value >= ref.lower - 1e-12
 
 
 def test_converged_partition_certifies_lower_bound(competitive_problem):
