@@ -19,17 +19,21 @@ For the same reason each iteration reads alpha and lambda straight off the
 simplex tableau (``tableau_solution``): rounding that the tableau gathers
 can only move them a little along the simplex, which costs at most a
 slightly worse query or bound, never a wrong one.  The basis is re-solved
-once, for the final lambda behind ``shares``.  The closed-form diagonal
-bound (``bounds.lower_bound``) is taken at the first, uniform query only:
-the master LP then holds that value vector and the axis points, so its
-lambda bound is at least as high.  A value vector already held (a hashed
-lookup of its bytes) stalls the solve, since the master LP would repeat
-itself.
+once, for the final lambda behind ``shares``.  The lambda bound is read
+as soon as a column joins the master LP, and the bracket is tested on it,
+so no query is spent once the held columns close the bracket.  The
+closed-form diagonal bound (``bounds.lower_bound``) is taken at the first,
+uniform query only: the master LP then holds that value vector and the
+axis points, so its lambda bound is at least as high.  A value vector
+already held (a hashed lookup of its bytes) stalls the solve, since the
+master LP would repeat itself.
 
 The master LP is small (one row per held column, one column per coalition)
 and is solved exactly by a dense simplex (``_MasterLP``).  A new column is
 one more row, so one tableau lives for the whole solve and is re-solved by
-dual-simplex pivots from its last basis.
+dual-simplex pivots from its last basis.  Pivot choices along a row (the
+entering column, the dual ratio test) are made on Python floats: with m
+entries, numpy's per-call dispatch would cost more than the comparisons.
 
 Every column is a cell assignment (axis column q gives every cell to q), so
 the same lambda mix of the assignments is an achievable fractional
@@ -138,19 +142,23 @@ class _MasterLP:
         col_var, row_var = self._col_var, self._row_var[:self.n]
         for pivots in itertools.count():
             out = (t[1:, m] < -_PIVOT_TOL).nonzero()[0]
+            # m-wide choices on Python floats, n-long ones in numpy
+            top, rank = t[0, :m].tolist(), col_var.tolist()
             if out.size:
                 r = out[row_var[out].argmin()]
-                cols = (t[1 + r, :m] < -_PIVOT_TOL).nonzero()[0]
-                if cols.size == 0:  # y = 0 is feasible; only rounding
+                row = t[1 + r, :m].tolist()
+                ratio = {k: max(top[k], 0.0) / -row[k]
+                         for k in range(m) if row[k] < -_PIVOT_TOL}
+                if not ratio:  # y = 0 is feasible; only rounding
                     return False
-                ratio = np.maximum(t[0, cols], 0.0) / -t[1 + r, cols]
-                ties = cols[ratio <= ratio.min() + _PIVOT_TOL]
-                k = ties[col_var[ties].argmin()]
+                least = min(ratio.values()) + _PIVOT_TOL
+                k = min((j for j, q in ratio.items() if q <= least),
+                        key=rank.__getitem__)
             else:
-                enter = (t[0, :m] < -_PIVOT_TOL).nonzero()[0]
-                if enter.size == 0:
+                enter = [k for k in range(m) if top[k] < -_PIVOT_TOL]
+                if not enter:
                     return True
-                k = enter[col_var[enter].argmin()]
+                k = min(enter, key=rank.__getitem__)
                 rows = (t[1:, k] > _PIVOT_TOL).nonzero()[0]
                 if rows.size == 0:  # the axis rows bound y; only rounding
                     return False
@@ -272,6 +280,10 @@ def cutting_plane_value(problem: WeightedProblem,
 
     t = 0
     while True:
+        # the bracket is tested on the bound of the LP that holds every
+        # column so far, the newest one included
+        alpha, lam = lp.tableau_solution()
+        lb = max(lb, float((lam @ lp.columns).min()))
         width = best.g_value - lb
         reason = ("epsilon" if width < config.epsilon
                   else "exact" if width < _EXACT_STOP_TOL
@@ -280,8 +292,6 @@ def cutting_plane_value(problem: WeightedProblem,
                   else None)
         if reason is not None:
             break
-        alpha, lam = lp.tableau_solution()
-        lb = max(lb, float((lam @ lp.columns).min()))
         pvv = maxsum_partition(problem, alpha)
         t += 1
         if pvv.g_value < best.g_value:

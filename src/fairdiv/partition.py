@@ -120,7 +120,7 @@ def _check_alpha(alpha, m: int) -> np.ndarray:
     a = np.asarray(alpha, dtype=float)
     if a.shape != (m,):
         raise ValueError(f"alpha must have {m} components")
-    if np.any(a < 0.0):
+    if not a.min() >= 0.0:  # NaN fails too
         raise ValueError("alpha components must be nonnegative")
     if abs(a.sum() - 1.0) > SIMPLEX_TOL:
         raise ValueError("alpha must sum to 1")

@@ -9,16 +9,26 @@ general projection.
 Two stopping modes: bracket mode stops once the certified bounds pinch to
 epsilon; equitable mode stops once the value vector coordinates agree to
 epsilon and returns the best-spread iterate seen.
+
+An iteration should cost about its maxsum oracle call.  Everything else in
+it works on m numbers, where numpy's per-call dispatch costs more than the
+arithmetic, so alpha and u are read into Python floats once per iterate for
+the spread, the clipped step and the mean-centered update, and the diagonal
+bound is evaluated on floats as well.  Sums keep numpy's pairwise order
+(``bounds._pairwise_sum``), so every iterate, bracket and trace row is
+bit-identical to the array formulas.  Each iterate's diagonal bound is
+evaluated once; the trace's ``vbar`` is that same number.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import lower_bound
+from .bounds import _pairwise_sum, lower_bound
 from .partition import PvvResult, WeightedProblem, maxsum_partition
 
 _EXACT_STOP_TOL = 1e-12  # treat g == lb as landing on the optimum
@@ -60,7 +70,7 @@ class SolverConfig:
             raise ValueError("max_iterations must be positive")
 
 
-def clipped_step(t: int, alpha: np.ndarray, u: np.ndarray,
+def clipped_step(t: int, alpha: Sequence[float], u: Sequence[float],
                  rule: StepRule) -> float:
     """Base step at t, shrunk so the next iterate stays strictly interior.
 
@@ -68,21 +78,22 @@ def clipped_step(t: int, alpha: np.ndarray, u: np.ndarray,
     if there are none the base step is already safe.
     """
     s = rule.base(t)
-    ubar = u.mean()
-    above = u > ubar
-    if not above.any():
+    ubar = _pairwise_sum(u) / len(u)
+    ratios = [a / (x - ubar) for a, x in zip(alpha, u) if x > ubar]
+    if not ratios:
         return s
-    tau = (rule.clip - 1) / rule.clip * np.min(
-        alpha[above] / (u[above] - ubar))
-    return min(s, float(tau))
+    return min(s, (rule.clip - 1) / rule.clip * min(ratios))
 
 
-def update_alpha(alpha: np.ndarray, u: np.ndarray, s: float) -> np.ndarray:
+def update_alpha(alpha: Sequence[float], u: Sequence[float],
+                 s: float) -> np.ndarray:
     """Mean-centered subgradient step; preserves the coordinate sum."""
-    out = alpha - s * (u - u.mean())
-    if np.any(out <= 0.0):
+    ubar = _pairwise_sum(u) / len(u)
+    out = [a - s * (x - ubar) for a, x in zip(alpha, u)]
+    if not min(out) > 0.0:
         raise RuntimeError("step was not clipped enough to stay interior")
-    return out / out.sum()
+    total = _pairwise_sum(out)
+    return np.array([a / total for a in out])
 
 
 @dataclass
@@ -140,32 +151,32 @@ def _solve(problem: WeightedProblem, config: SolverConfig,
     rule = config.step_rule
     totals = problem.totals
     alpha = np.full(problem.m, 1.0 / problem.m)
-
-    pvv = maxsum_partition(problem, alpha)
-    ub = pvv.g_value
-    lb = lower_bound(pvv, totals)
-    best_pvv, best_spread = pvv, pvv.spread
+    ub, lb = math.inf, -math.inf
+    best_pvv, best_spread = None, math.inf
     trace = IterationTrace() if config.record_trace else None
 
     t = 0
     while True:
+        pvv = maxsum_partition(problem, alpha)
+        # the scalar work of an iterate runs on Python floats, read once
+        a, u = pvv.alpha.tolist(), pvv.u.tolist()
+        vbar = lower_bound(pvv, totals)
+        ub, lb = min(ub, pvv.g_value), max(lb, vbar)
+        spread = max(u) - min(u)
+        if spread < best_spread:
+            best_pvv, best_spread = pvv, spread
         if equitable:
-            done = pvv.spread < config.epsilon
+            done = spread < config.epsilon
         else:
             done = (ub - lb < config.epsilon
                     or pvv.g_value - lb < _EXACT_STOP_TOL)
-        step = clipped_step(t, alpha, pvv.u, rule)
+        step = clipped_step(t, a, u, rule)
         if trace is not None:
-            trace.append(t, ub, lb, pvv.g_value, lower_bound(pvv, totals),
-                         step, alpha.copy(), pvv.u.copy())
+            trace.append(t, ub, lb, pvv.g_value, vbar, step, pvv.alpha,
+                         pvv.u)
         if done or t >= config.max_iterations:
             break
-        alpha = update_alpha(alpha, pvv.u, step)
-        pvv = maxsum_partition(problem, alpha)
-        ub = min(ub, pvv.g_value)
-        lb = max(lb, lower_bound(pvv, totals))
-        if pvv.spread < best_spread:
-            best_pvv, best_spread = pvv, pvv.spread
+        alpha = update_alpha(a, u, step)
         t += 1
 
     if equitable:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fairdiv import (Grid, SolverConfig, lower_bound, maxsum_partition,
                      solve_partition)
+from fairdiv.bounds import _pairwise_sum
 from fairdiv.partition import Allocation, PvvResult
 from helpers import hull_lower_bound, random_alpha, random_problem
 
@@ -81,3 +82,43 @@ def test_tightness_near_equality(competitive_problem):
     spread = res.pvv.spread
     width = res.pvv.g_value - lower_bound(res.pvv, competitive_problem.totals)
     assert width < 10 * spread
+
+
+def _numpy_lower_bound(u, totals):
+    """The closed form as numpy array arithmetic, for bitwise comparison."""
+    h = int(np.argmax(u))
+    rest = np.arange(len(u)) != h
+    return float(u[h] / (1.0 + np.sum((u[h] - u[rest]) / totals[rest])))
+
+
+def test_lower_bound_matches_numpy_formula_bitwise():
+    # Python floats summed in numpy's pairwise order: bit for bit on every
+    # m, past the 8 entries where numpy switches to strided partial sums;
+    # ties in max(u) must still pick the lowest index
+    rng = np.random.default_rng(29)
+    for m in range(1, 13):
+        for trial in range(300):
+            totals = rng.uniform(0.05, 3.0, size=m)
+            u = totals * rng.uniform(0.0, 1.0, size=m)
+            if trial % 3 == 0 and m > 1:
+                tied = rng.choice(m, size=int(rng.integers(2, m + 1)),
+                                  replace=False)
+                u[tied] = u.max()
+            want = _numpy_lower_bound(u, totals)
+            got = lower_bound(make_pvv(u), totals)
+            assert type(got) is float
+            assert got == want, (m, trial)
+
+
+def test_pairwise_sum_matches_numpy():
+    rng = np.random.default_rng(31)
+    for n in [*range(0, 40), 127, 128, 129, 200, 1000, 4099]:
+        for _ in range(20):
+            x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, size=n)
+            assert _pairwise_sum(x.tolist()) == np.add.reduce(x), n
+
+
+@pytest.mark.parametrize("totals", [[1.0, float("nan")], [-1.0, 2.0]])
+def test_invalid_totals_rejected(totals):
+    with pytest.raises(ValueError):
+        lower_bound(make_pvv([0.5, 0.2]), totals)

@@ -270,3 +270,27 @@ def test_no_state_outlives_a_solve(competitive_problem):
         again.lower, again.upper, again.iterations)
     assert np.array_equal(first.alpha, again.alpha)
     assert np.array_equal(first.shares, again.shares)
+
+
+def test_no_query_once_the_held_columns_close_the_bracket(monkeypatch):
+    # before every query past the first, the master LP over every column
+    # returned so far (HiGHS, independent of the solver's tableau) must
+    # still leave the bracket [LP value, smallest g] at least epsilon wide
+    rng = np.random.default_rng(707)
+    for _ in range(12):
+        problem = random_problem(rng, max_players=5, max_m=5, cells=128)
+        eps = float(rng.choice([1e-2, 1e-3, 1e-4]))
+        columns, best = [np.diag(problem.totals)], [np.inf]
+
+        def spy(problem, alpha):
+            if len(columns) > 1:
+                width = best[0] - master_lp_value(np.vstack(columns))
+                assert width >= eps - LP_TOL, "query after the bracket closed"
+            pvv = maxsum_partition(problem, alpha)
+            columns.append(pvv.u[None, :])
+            best[0] = min(best[0], pvv.g_value)
+            return pvv
+
+        monkeypatch.setattr("fairdiv.cutting.maxsum_partition", spy)
+        res = cutting_plane_value(problem, SolverConfig(epsilon=eps))
+        assert res.converged

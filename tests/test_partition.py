@@ -62,6 +62,8 @@ def test_alpha_validation(two_coalition_problem):
         maxsum_partition(two_coalition_problem, [1.2, -0.2])
     with pytest.raises(ValueError):
         maxsum_partition(two_coalition_problem, [1.0])  # wrong size
+    with pytest.raises(ValueError):
+        maxsum_partition(two_coalition_problem, [float("nan"), 1.0])
 
 
 @settings(max_examples=60, deadline=None)

@@ -218,3 +218,74 @@ def test_unconverged_run_is_flagged(competitive_problem):
     assert not res.converged
     assert res.iterations == 50
     assert res.lower <= res.upper
+
+
+def _numpy_clipped_step(t, alpha, u, rule):
+    """The clipped step as numpy array arithmetic, for bitwise comparison."""
+    s = rule.base(t)
+    ubar = u.mean()
+    above = u > ubar
+    if not above.any():
+        return s
+    tau = (rule.clip - 1) / rule.clip * np.min(
+        alpha[above] / (u[above] - ubar))
+    return min(s, float(tau))
+
+
+def _numpy_update_alpha(alpha, u, s):
+    out = alpha - s * (u - u.mean())
+    return out / out.sum()
+
+
+def _step_cases(rng, m):
+    """Random u, all-equal u, and u with a coordinate exactly at the mean
+    (dyadic values symmetric about 1/2, so every summation order is exact)."""
+    yield rng.uniform(0.0, 1.0, size=m)
+    yield np.full(m, rng.uniform(0.0, 1.0))
+    yield np.full(m, 0.1)
+    offsets = rng.integers(1, 64, size=(m - 1) // 2) / 128.0
+    yield rng.permutation(np.concatenate(
+        [0.5 - offsets, 0.5 + offsets, [0.5] * (m - 2 * offsets.size)]))
+
+
+def test_step_and_update_match_numpy_formulas_bitwise():
+    rng = np.random.default_rng(43)
+    for m in range(1, 13):
+        for trial in range(100):
+            rule = StepRule(scale=float(rng.uniform(0.01, 5.0)),
+                            clip=int(rng.integers(2, 20)))
+            t = int(rng.integers(0, 1000))
+            alpha = rng.dirichlet(np.ones(m)) * 0.98 + 0.02 / m
+            for u in _step_cases(rng, m):
+                want = _numpy_clipped_step(t, alpha, u, rule)
+                for a, v in ((alpha, u), (alpha.tolist(), u.tolist())):
+                    s = clipped_step(t, a, v, rule)
+                    assert s == want, (m, trial)
+                    out = update_alpha(a, v, s)
+                    np.testing.assert_array_equal(
+                        out, _numpy_update_alpha(alpha, u, s))
+
+
+def test_trace_reads_one_bound_per_iterate(monkeypatch):
+    # the trace's vbar is the bound the iterate's bracket update used, not a
+    # second evaluation
+    calls = []
+
+    def spy(pvv, totals):
+        out = lower_bound(pvv, totals)
+        calls.append((pvv.u, out))
+        return out
+
+    monkeypatch.setattr("fairdiv.subgradient.lower_bound", spy)
+    rng = np.random.default_rng(47)
+    for _ in range(5):
+        problem = random_problem(rng, cells=128)
+        calls.clear()
+        res = solve_value(problem, SolverConfig(epsilon=1e-3,
+                                                max_iterations=200,
+                                                record_trace=True))
+        tr = res.trace
+        assert len(calls) == len(tr) == res.iterations + 1
+        for (u, bound), vbar, lb, tu in zip(calls, tr.vbar, tr.lb, tr.u):
+            np.testing.assert_array_equal(u, tu)
+            assert vbar == bound <= lb
