@@ -177,7 +177,7 @@ def _weight_system(spec: Namespace, problem: Problem,
     except ValueError as e:
         raise ConfigError(str(e)) from None
     return pre_division_weights(problem.densities, config=config,
-                                cells=_grid(spec, problem).cell_count)
+                                grid=_grid(spec, problem))
 
 
 def _weight_choice(spec: Namespace, problem: Problem) -> str | None:

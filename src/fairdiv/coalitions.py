@@ -76,19 +76,19 @@ def weight_of(system: WeightSystem, coalition) -> float:
 
 def pre_division_weights(players,
                          config: SolverConfig = PRE_SOLVE_CONFIG,
-                         cells: int = 4096) -> WeightSystem:
+                         grid: Grid = Grid(4096)) -> WeightSystem:
     """Weights from the competitive optimal partition.
 
-    Solves the all-singletons equal-weight problem with the cutting-plane
-    solver and takes the lambda mix of its maxsum partitions (``shares`` of
-    the result): a fractional partition, equitable at the optimum, that
-    splits only a few cells.  Every coalition is valued by its joint
-    preference on the union of its members' shares.  If the pre-solve stops
-    short of ``config.epsilon``, the system is flagged unconverged.
+    Solves the all-singletons equal-weight problem on ``grid`` with the
+    cutting-plane solver and takes the lambda mix of its maxsum partitions
+    (``shares`` of the result): a fractional partition, equitable at the
+    optimum, that splits only a few cells.  Every coalition is valued by its
+    joint preference on the union of its members' shares.  If the pre-solve
+    stops short of ``config.epsilon``, the system is flagged unconverged.
     """
     n = len(players)
     all_subsets = _nonempty_subsets(n)
-    full = coalition_table(players, all_subsets, Grid(cells))
+    full = coalition_table(players, all_subsets, grid)
     singletons = tuple((i,) for i in range(n))
     problem = WeightedProblem(structure=singletons, weights=(1.0,) * n,
                               table=full.restrict(singletons))

@@ -21,19 +21,21 @@ can only move them a little along the simplex, which costs at most a
 slightly worse query or bound, never a wrong one.  The basis is re-solved
 once, for the final lambda behind ``shares``.  The lambda bound is read
 as soon as a column joins the master LP, and the bracket is tested on it,
-so no query is spent once the held columns close the bracket.  The
-closed-form diagonal bound (``bounds.lower_bound``) is taken at the first,
-uniform query only: the master LP then holds that value vector and the
-axis points, so its lambda bound is at least as high.  A value vector
+so no query is spent once the held columns close the bracket.  It is the
+only lower bound: from the first query on, the master LP holds that value
+vector and the axis points, so it bounds at least as high as the
+closed-form diagonal bound of ``bounds.lower_bound``.  A value vector
 already held (a hashed lookup of its bytes) stalls the solve, since the
 master LP would repeat itself.
 
 The master LP is small (one row per held column, one column per coalition)
-and is solved exactly by a dense simplex (``_MasterLP``).  A new column is
-one more row, so one tableau lives for the whole solve and is re-solved by
-dual-simplex pivots from its last basis.  Pivot choices along a row (the
-entering column, the dual ratio test) are made on Python floats: with m
-entries, numpy's per-call dispatch would cost more than the comparisons.
+and is solved exactly by a dense simplex (``_MasterLP``).  Every solve
+starts at the closed-form optimum of the axis rows, which is dual
+feasible, and every value vector, the first included, joins as one more
+row, so one tableau lives for the whole solve and only dual-simplex pivots
+are ever made.  The dual ratio test along a row is taken on Python floats:
+with m entries, numpy's per-call dispatch would cost more than the
+comparisons.
 
 Every column is a cell assignment (axis column q gives every cell to q), so
 the same lambda mix of the assignments is an achievable fractional
@@ -53,15 +55,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .bounds import lower_bound
 from .partition import WeightedProblem, maxsum_partition
 from .subgradient import _EXACT_STOP_TOL, SolveResult, SolverConfig
 
 #: reduced costs, pivots, ratio ties and negative right-hand sides below this
 #: count as zero; the tableau is scaled so its largest column entry is 1
 _PIVOT_TOL = 1e-12
-#: pivot caps: per tableau row and column of a solve from the slack basis
-#: (then ``RuntimeError``), and per re-solve after an add (then a cold rebuild)
+#: pivot caps: per tableau row and column of a cold rebuild from the axis
+#: start (then ``RuntimeError``), and per re-solve after an add (then a cold
+#: rebuild)
 _COLD_PIVOTS = 20
 _WARM_PIVOTS = 50
 
@@ -72,44 +74,43 @@ class _MasterLP:
     Every column is nonnegative and the axis rows make the master value v
     positive, so with y = alpha / v the master LP is
 
-        max 1'y  s.t.  C y <= 1,  y >= 0,
+        max 1'y  s.t.  C y <= 1,  y >= 0.
 
-    whose slack basis is feasible: no phase I.  Row 0 of the condensed
-    tableau holds -(reduced costs) and 1'y; row 1 + i reads basic variable =
-    rhs - sum_k t[1 + i, k] * nonbasic_k.  Variables 0..m-1 are y, m + i is
-    the slack of column i, and Bland's rule (smallest index enters and
-    leaves) makes both the primal and the dual simplex terminate.
+    Row 0 of the condensed tableau holds -(reduced costs) and 1'y; row 1 + i
+    reads basic variable = rhs - sum_k t[1 + i, k] * nonbasic_k.  Variables
+    0..m-1 are y, m + i is the slack of column i.
 
-    ``add`` writes the row c'y <= 1 of a new column in the current nonbasic
-    variables, with its slack basic.  The old basis stays dual feasible, so
-    a dual-simplex pivot or two restores optimality, where a cold solve
-    takes about eight.  One instance lives for one solve, at one scale;
-    ``pivots`` counts its pivots, cold rebuilds included.
+    Every solve starts at the optimum of the m axis rows alone, in closed
+    form: y_j = scale / totals_j basic in row j, each axis slack nonbasic
+    with dual scale / totals_j > 0.  That basis is dual feasible, and ``add``
+    keeps it so: it writes the row c'y <= 1 of a new column in the current
+    nonbasic variables, with its slack basic.  So only dual-simplex pivots
+    are ever needed, under Bland's rule (smallest index leaves and enters),
+    which terminates.  A pivot or two restores optimality after an add; if
+    a re-solve fails, the tableau is rebuilt the same way from the axis
+    start, every held row rewritten, then dual pivots.  One instance lives
+    for one solve, at one scale; ``pivots`` counts its pivots, rebuilds
+    included.
     """
 
-    def __init__(self, columns: np.ndarray, scale: float):
-        (self.n, self.m), self.scale = columns.shape, scale
-        self.pivots = 0
-        self._c = np.resize(columns, (2 * self.n, self.m))
-        self.columns = self._c[:self.n]
-        self._t = np.empty((len(self._c) + 1, self.m + 1))
-        self._row_var = np.empty(len(self._c), dtype=np.intp)
+    def __init__(self, totals: np.ndarray, scale: float):
+        m = self.m = self.n = totals.size
+        self.scale, self.pivots = scale, 0
+        self._c = np.resize(np.diag(totals), (2 * m, m))
+        self.columns = self._c[:m]
+        self._t = np.empty((2 * m + 1, m + 1))
+        self._row_var = np.empty(2 * m, dtype=np.intp)
         # a new column's value per variable: c_j / scale for y_j, 0 for
         # every slack
-        self._value = np.zeros(self.m + len(self._c))
-        self._cold()
+        self._value = np.zeros(3 * m)
+        self._axis_start()
 
-    def _cold(self) -> None:
-        n, m = self.n, self.m
-        self._t[0, :m], self._t[0, m] = -1.0, 0.0
-        self._t[1:n + 1, :m] = self.columns / self.scale
-        self._t[1:n + 1, m] = 1.0
-        self._col_var = np.arange(m)
-        self._row_var[:n] = np.arange(m, m + n)
-        cap = _COLD_PIVOTS * (n + m)
-        if not self._solve(cap):
-            raise RuntimeError(f"master LP did not reach an optimum within "
-                               f"{cap} pivots")
+    def _axis_start(self) -> None:
+        m, y = self.m, self.scale / self._c.diagonal()
+        self._t[0, :m], self._t[0, m] = y, y.sum()
+        self._t[1:m + 1] = np.column_stack([np.diag(y), y])
+        self._col_var = np.arange(m, 2 * m)
+        self._row_var[:m] = np.arange(m)
 
     def add(self, column: np.ndarray) -> None:
         """Hold one more column and re-solve from the current basis."""
@@ -121,52 +122,53 @@ class _MasterLP:
             self._value = np.zeros(m + 2 * n)
         self._c[n] = column
         self.n, self.columns = n + 1, self._c[:n + 1]
-        # 1 - c'y, with each basic variable substituted from its row: the
-        # slack rows weigh 0
-        value, t = self._value, self._t
-        np.divide(column, self.scale, out=value[:m])
-        row = t[n + 1]
-        np.take(value, self._col_var, out=row[:m])
-        row[m] = 1.0
-        row -= value[self._row_var[:n]] @ t[1:n + 1]
-        self._row_var[n] = m + n
+        self._write_row(n)
         if not self._solve(_WARM_PIVOTS):
             self._cold()
 
+    def _write_row(self, i: int) -> None:
+        """Write held column i as tableau row 1 + i, its slack basic: 1 -
+        c'y, with each basic variable substituted from its row (the slack
+        rows weigh 0)."""
+        m, value, t = self.m, self._value, self._t
+        np.divide(self._c[i], self.scale, out=value[:m])
+        row = t[i + 1]
+        np.take(value, self._col_var, out=row[:m])
+        row[m] = 1.0
+        row -= value[self._row_var[:i]] @ t[1:i + 1]
+        self._row_var[i] = m + i
+
+    def _cold(self) -> None:
+        self._axis_start()
+        for i in range(self.m, self.n):
+            self._write_row(i)
+        cap = _COLD_PIVOTS * (self.n + self.m)
+        if not self._solve(cap):
+            raise RuntimeError(f"master LP did not reach an optimum within "
+                               f"{cap} pivots")
+
     def _solve(self, max_pivots: int) -> bool:
-        """Pivot to an optimum: dual steps while a right-hand side is
-        negative, then primal steps while a reduced cost is.  False if that
-        takes more than ``max_pivots`` pivots, or on a rounding-lost bound."""
+        """Dual-simplex pivots while a right-hand side is negative.  False if
+        that takes more than ``max_pivots`` pivots, or on a rounding-lost
+        bound."""
         m = self.m
         t = self._t[:self.n + 1]
         col_var, row_var = self._col_var, self._row_var[:self.n]
         for pivots in itertools.count():
             out = (t[1:, m] < -_PIVOT_TOL).nonzero()[0]
-            # m-wide choices on Python floats, n-long ones in numpy
-            top, rank = t[0, :m].tolist(), col_var.tolist()
-            if out.size:
-                r = out[row_var[out].argmin()]
-                row = t[1 + r, :m].tolist()
-                ratio = {k: max(top[k], 0.0) / -row[k]
-                         for k in range(m) if row[k] < -_PIVOT_TOL}
-                if not ratio:  # y = 0 is feasible; only rounding
-                    return False
-                least = min(ratio.values()) + _PIVOT_TOL
-                k = min((j for j, q in ratio.items() if q <= least),
-                        key=rank.__getitem__)
-            else:
-                enter = [k for k in range(m) if top[k] < -_PIVOT_TOL]
-                if not enter:
-                    return True
-                k = min(enter, key=rank.__getitem__)
-                rows = (t[1:, k] > _PIVOT_TOL).nonzero()[0]
-                if rows.size == 0:  # the axis rows bound y; only rounding
-                    return False
-                ratio = np.maximum(t[1 + rows, m], 0.0) / t[1 + rows, k]
-                ties = rows[ratio <= ratio.min() + _PIVOT_TOL]
-                r = ties[row_var[ties].argmin()]
-            if pivots == max_pivots:
+            if not out.size:
+                return True
+            r = out[row_var[out].argmin()]
+            # the m-wide ratio test on Python floats
+            top, row = t[0, :m].tolist(), t[1 + r, :m].tolist()
+            ratio = {k: max(top[k], 0.0) / -row[k]
+                     for k in range(m) if row[k] < -_PIVOT_TOL}
+            # no ratio only by rounding, since y = 0 is feasible
+            if not ratio or pivots == max_pivots:
                 return False
+            least = min(ratio.values()) + _PIVOT_TOL
+            k = min((j for j, q in ratio.items() if q <= least),
+                    key=col_var.tolist().__getitem__)
             self._pivot(1 + r, k)
 
     def _pivot(self, r: int, k: int) -> None:
@@ -271,12 +273,12 @@ def cutting_plane_value(problem: WeightedProblem,
     totals = problem.totals
     pvv = maxsum_partition(problem, np.full(problem.m, 1.0 / problem.m))
     best = pvv
-    lb = lower_bound(pvv, totals)
     # every value vector is at most totals, up to summation order
-    lp = _MasterLP(np.vstack([np.diag(totals), pvv.u]), totals.max())
+    lp = _MasterLP(totals, totals.max())
+    lp.add(pvv.u)
     held = {u.tobytes() for u in lp.columns}
     assignments = [pvv.allocation.assignment]
-    stalled = False
+    lb, stalled = -np.inf, False
 
     t = 0
     while True:

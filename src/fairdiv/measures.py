@@ -235,13 +235,14 @@ class MeasureTable:
         )
 
 
-def _split_cell_mass(specs, ia, ib, k, grid) -> float:
+def _split_cell_mass(specs, cdfs, ia, ib, k, grid) -> float:
     """Mass of cell k with player ia dominating left of the crossing and ib
-    right of it."""
+    right of it.  ``cdfs[i]`` holds player i's CDF at the grid edges, so
+    only the two CDFs at the crossing are evaluated here."""
     xl, xr = grid.edges[k], grid.edges[k + 1]
     split = _crossing_point(specs[ia], specs[ib], xl, xr)
-    return (density_cdf(specs[ia], split) - density_cdf(specs[ia], xl)) \
-        + (density_cdf(specs[ib], xr) - density_cdf(specs[ib], split))
+    return (density_cdf(specs[ia], split) - cdfs[ia, k]) \
+        + (cdfs[ib, k + 1] - density_cdf(specs[ib], split))
 
 
 def _crossing_point(spec_a, spec_b, xl, xr) -> float:
@@ -279,7 +280,10 @@ def coalition_table(players, subsets, grid: Grid) -> MeasureTable:
     larger of that and the mass split at their crossing: exact when
     dominance changes at most once inside the cell, a lower bound otherwise.
     A split mass depends only on the ordered pair and the cell, so it is
-    computed once per table however many rows contain the pair.
+    computed once per table however many rows contain the pair.  Each
+    player's CDF is evaluated once, at every grid edge, for its cell masses
+    and for the edge terms of its split masses, so a split cell evaluates
+    only the two CDFs at its crossing.
 
     Rows are built by a prefix walk in O(K) each: the sorted member tuples
     are visited in lexicographic order, and a stack holds one level per
@@ -302,7 +306,8 @@ def coalition_table(players, subsets, grid: Grid) -> MeasureTable:
 
     eval_edges = np.clip(grid.edges, _EDGE_EPS, 1.0 - _EDGE_EPS)
     edges_f = np.vstack([density_eval(p, eval_edges) for p in players])
-    player_masses = np.vstack([cell_masses(p, grid) for p in players])
+    cdfs = np.vstack([density_cdf(p, grid.edges) for p in players])
+    player_masses = np.diff(cdfs)
 
     masses = np.empty((len(subsets), grid.cell_count))
     split_masses: dict[tuple[int, int, int], float] = {}
@@ -337,7 +342,7 @@ def coalition_table(players, subsets, grid: Grid) -> MeasureTable:
             mass = split_masses.get((ia, ib, k))
             if mass is None:
                 mass = split_masses[ia, ib, k] = _split_cell_mass(
-                    players, ia, ib, k, grid)
+                    players, cdfs, ia, ib, k, grid)
             row[k] = max(mass, row[k])
 
     return MeasureTable(grid=grid, coalitions=tuple(subsets), masses=masses)

@@ -492,10 +492,10 @@ def test_game_with_unconverged_weights_still_writes(tmp_path, capsys,
     import fairdiv.cli
     from fairdiv import SolverConfig, pre_division_weights
 
-    def cramped_weights(players, config, cells):
+    def cramped_weights(players, config, grid):
         return pre_division_weights(
             players, config=SolverConfig(epsilon=1e-9, max_iterations=2),
-            cells=cells)
+            grid=grid)
 
     monkeypatch.setattr(fairdiv.cli, "pre_division_weights", cramped_weights)
     path = tmp_path / "two.json"
@@ -672,17 +672,17 @@ def test_pre_division_weights_use_run_grid(beta_uniform_file, capsys,
                                            monkeypatch):
     seen = []
 
-    def recording_weights(players, config, cells):
-        seen.append(cells)
+    def recording_weights(players, config, grid):
+        seen.append(grid)
         return fairdiv.pre_division_weights(players, config=config,
-                                            cells=cells)
+                                            grid=grid)
 
     monkeypatch.setattr(fairdiv.cli, "pre_division_weights",
                         recording_weights)
     rc = main(["--problem", beta_uniform_file, "--command", "game",
                "--weights", "pre", "--grid", "1024"])
     assert rc == EXIT_OK
-    assert seen == [1024]
+    assert seen == [fairdiv.Grid(1024)]
 
 
 @pytest.fixture()

@@ -57,7 +57,7 @@ def test_pre_division_singletons_equitable_inside_bracket(
 
 
 def test_pre_division_splits_identical_players():
-    system = pre_division_weights([DensitySpec.uniform()] * 2, cells=64)
+    system = pre_division_weights([DensitySpec.uniform()] * 2, grid=Grid(64))
     assert system.converged
     assert system.values == {frozenset({0}): 0.5, frozenset({1}): 0.5,
                              frozenset({0, 1}): 1.0}
@@ -88,7 +88,7 @@ def test_full_game_disjoint_pair_both_systems(disjoint_pair):
                 frozenset({0, 1}): 2.0}
     card = full_game(disjoint_pair, cardinality_weights(), grid=Grid(64))
     pre = full_game(disjoint_pair, pre_division_weights(disjoint_pair,
-                                                        cells=64),
+                                                        grid=Grid(64)),
                     grid=Grid(64))
     for s, want in expected.items():
         assert card.entries[s].value == pytest.approx(want, abs=1e-9)
@@ -101,7 +101,8 @@ def test_game_on_subsets_matches_full_game(five_players, monkeypatch):
     # one entry on its own is the same float as in the full game, and its
     # table holds only the rows of its structure
     players = five_players[:3]
-    systems = (cardinality_weights(), pre_division_weights(players, cells=64))
+    systems = (cardinality_weights(),
+               pre_division_weights(players, grid=Grid(64)))
     rows = []
     build = fairdiv.coalitions.coalition_table
 
@@ -192,11 +193,12 @@ def test_shapley_missing_entry_rejected():
 
 def test_unconverged_pre_solve_flags_every_entry(five_players):
     cramped = SolverConfig(epsilon=1e-9, max_iterations=3)
-    system = pre_division_weights(five_players, config=cramped, cells=256)
+    system = pre_division_weights(five_players, config=cramped,
+                                  grid=Grid(256))
     assert not system.converged
     assert all(v > 0 for v in system.values.values())
     table = full_game(five_players[:2], pre_division_weights(
-        five_players[:2], config=cramped, cells=256), grid=Grid(64))
+        five_players[:2], config=cramped, grid=Grid(256)), grid=Grid(64))
     assert not table.all_converged
     assert all(not e.converged for e in table.entries.values())
 

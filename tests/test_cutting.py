@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fairdiv import (DensitySpec, Grid, SolverConfig, cutting_plane_value,
-                     maxsum_partition, weighted_problem)
+                     lower_bound, maxsum_partition, weighted_problem)
 from fairdiv.cutting import _MasterLP
 from fairdiv.partition import _check_alpha
 from helpers import (cell_lp_value, master_lp_value, random_density,
@@ -185,16 +185,48 @@ def _assert_warm_optimal(columns):
     """Start from the axis rows and add the other rows one at a time; the
     warm tableau must be optimal after every add."""
     m = columns.shape[1]
-    lp = _MasterLP(columns[:m], columns[:m].max())
+    lp = _MasterLP(np.diagonal(columns), columns[:m].max())
     for i in range(m, len(columns)):
         lp.add(columns[i])
         _assert_master_optimal(lp)
 
 
 def test_master_lp_is_optimal():
+    # every row of a case, the axis rows again among them, joins in the
+    # case's permuted order; the tableau is then rebuilt from the axis start
     for columns, order in _master_lp_cases():
-        _assert_master_optimal(_MasterLP(columns[order],
-                                         columns[order].max()))
+        lp = _MasterLP(np.diagonal(columns), columns.max())
+        for row in columns[order]:
+            lp.add(row)
+        _assert_master_optimal(lp)
+        lp._cold()
+        _assert_master_optimal(lp)
+
+
+def test_first_master_lp_bounds_above_the_diagonal_bound():
+    # the master LP over the axis points and the first value vector bounds
+    # at least as high as that vector's closed-form diagonal bound, so the
+    # solver needs no other lower bound; the first value vector is either
+    # the uniform query's or an axis point
+    rng = np.random.default_rng(808)
+    for m in range(1, 9):
+        for k in range(10):
+            n = m + int(rng.integers(0, 3))
+            owners = rng.integers(0, m, size=n)
+            owners[rng.permutation(n)[:m]] = np.arange(m)
+            structure = [tuple(np.flatnonzero(owners == j)) for j in range(m)]
+            problem = weighted_problem(
+                [random_density(rng) for _ in range(n)], structure,
+                rng.uniform(0.5, 3.0, m).tolist(), Grid(64))
+            totals = problem.totals
+            pvv = maxsum_partition(problem, np.full(m, 1.0 / m))
+            if k % 3 == 2:
+                pvv = replace(pvv, u=np.diag(totals)[rng.integers(0, m)])
+            lp = _MasterLP(totals, totals.max())
+            lp.add(pvv.u)
+            _, lam = lp.tableau_solution()
+            diagonal = lower_bound(pvv, totals)
+            assert (lam @ lp.columns).min() >= diagonal * (1.0 - 1e-12)
 
 
 def test_warm_master_lp_is_optimal():
@@ -224,10 +256,12 @@ def _count_pivots(monkeypatch) -> list[int]:
 
 
 def test_warm_start_pivot_count(competitive_problem, monkeypatch):
-    # the pre-solve behind pre-division weights (63 iterations) takes 79
-    # pivots when each column is added to the held tableau; solving every
-    # master LP cold from the slack basis took 1,293 over its 64 iterations
-    # (1,326 with the extra LP that ``shares`` then solved)
+    # the pre-solve behind pre-division weights (63 iterations) takes 76
+    # dual pivots from the axis start, each value vector added to the held
+    # tableau (79 when the first one joined a slack-basis start solved by
+    # primal pivots); solving every master LP cold from the slack basis
+    # took 1,293 over its 64 iterations (1,326 with the extra LP that
+    # ``shares`` then solved)
     count = _count_pivots(monkeypatch)
     res = cutting_plane_value(competitive_problem, SolverConfig(epsilon=1e-9))
     assert res.converged
@@ -242,10 +276,10 @@ def test_result_counts_pivots(competitive_problem, monkeypatch):
 
 def test_cold_rebuild_matches_warm(competitive_problem, monkeypatch):
     # with no warm pivots allowed, every add that needs a pivot rebuilds
-    # the tableau cold; the bracket and the partition agree with the warm
-    # solve (the pinched master LP is degenerate, so the two may pick other
-    # optimal bases: lambda itself, the last bits of the bracket and the
-    # iteration count may differ)
+    # the tableau from the axis start; the bracket and the partition agree
+    # with the warm solve (the pinched master LP is degenerate, so the two
+    # may pick other optimal bases: lambda itself, the last bits of the
+    # bracket and the iteration count may differ)
     config = SolverConfig(epsilon=1e-9)
     warm = cutting_plane_value(competitive_problem, config)
     count = _count_pivots(monkeypatch)

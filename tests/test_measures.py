@@ -199,6 +199,26 @@ def test_each_crossing_solved_once(five_players, all_subsets_5, table_4096,
     np.testing.assert_array_equal(table.masses, table_4096.masses)
 
 
+def test_split_cell_evaluates_only_the_crossing_cdfs(
+        five_players, all_subsets_5, table_4096, monkeypatch):
+    # each player's CDF is evaluated once, at every grid edge, and a split
+    # cell takes its edge CDFs from there: 2 scalar CDFs per split cell (at
+    # the crossing), not 4
+    scalar_calls, array_calls = [], []
+    cdf = fairdiv.measures.density_cdf
+
+    def spy(spec, x):
+        (array_calls if np.ndim(x) else scalar_calls).append(x)
+        return cdf(spec, x)
+
+    monkeypatch.setattr(fairdiv.measures, "density_cdf", spy)
+    table = coalition_table(five_players, all_subsets_5, Grid(4096))
+    np.testing.assert_array_equal(table.masses, table_4096.masses)
+    assert len(array_calls) == len(five_players)
+    assert all(np.array_equal(x, table.grid.edges) for x in array_calls)
+    assert len(scalar_calls) == 2 * 18  # 18 distinct split cells
+
+
 def test_unsplit_cells_are_the_largest_member_mass(
         five_players, all_subsets_5, table_4096, monkeypatch):
     # densities are evaluated at the cell edges only, never at midpoints;
@@ -283,6 +303,7 @@ def _gathered_rows(players, subsets, grid):
     edges (argmax, so the lowest index on ties) differ."""
     edges = np.clip(grid.edges, 1e-12, 1.0 - 1e-12)
     at_edges = np.vstack([density_eval(p, edges) for p in players])
+    cdfs = np.vstack([density_cdf(p, grid.edges) for p in players])
     player_masses = np.vstack([cell_masses(p, grid) for p in players])
     rows = []
     for s in subsets:
@@ -291,7 +312,7 @@ def _gathered_rows(players, subsets, grid):
         dominant = np.array(members)[at_edges[members].argmax(axis=0)]
         for k in np.flatnonzero(dominant[:-1] != dominant[1:]):
             split = fairdiv.measures._split_cell_mass(
-                players, dominant[k], dominant[k + 1], k, grid)
+                players, cdfs, dominant[k], dominant[k + 1], k, grid)
             row[k] = max(split, row[k])
         rows.append(row)
     return np.array(rows)
