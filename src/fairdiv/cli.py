@@ -14,10 +14,11 @@ command rejects them.  Likewise ``--subset`` (one coalition against the
 other players alone) applies to ``game`` only and ``--coalitions`` to
 ``solve``, ``partition`` and ``trace`` only; ``FLAG_COMMANDS`` lists them
 all.  ``--max-iter`` caps every solve of a run, the Kelley iterations of the
-pre-division pre-solve included, and pre-division weights are computed on
-the run's grid.  ``--weights``, else the file's ``"card"`` or ``"pre"``,
-picks the weight system; ``game`` and ``shapley`` compute both when neither
-names one.
+pre-division pre-solve included.  The pre-solve measures only the
+singletons, on the run's grid, and each pre-division weight is read off the
+table its solve or game uses.  ``--weights``, else the file's ``"card"`` or
+``"pre"``, picks the weight system; ``game`` and ``shapley`` compute both
+when neither names one.
 
 ``solve`` prints one bracket line, ``[lb, ub]``, and rejects ``--format
 json``.  Every table (``partition`` cells, ``game``, ``shapley`` and the
@@ -45,8 +46,8 @@ from .coalitions import (PRE_SOLVE_CONFIG, GameTable, WeightSystem,
                          cardinality_weights, full_game, pre_division_weights,
                          shapley, weight_of)
 from .cutting import cutting_plane_value
-from .measures import Grid
-from .partition import WeightedProblem, weighted_problem
+from .measures import Grid, coalition_table
+from .partition import WeightedProblem
 from .problemfile import (MAX_GRID_CELLS, Problem, ProblemFormatError,
                           load_problem)
 from .subgradient import SolverConfig, solve_partition, solve_value
@@ -166,9 +167,9 @@ def _grid(spec: Namespace, problem: Problem) -> Grid:
 
 def _weight_system(spec: Namespace, problem: Problem,
                    name: str) -> WeightSystem:
-    """The ``card`` or ``pre`` weight system.  Pre-division weights value
-    coalitions on the run's grid, and ``--max-iter`` caps the Kelley
-    iterations of their competitive pre-solve too."""
+    """The ``card`` or ``pre`` weight system.  The competitive pre-solve
+    behind pre-division weights measures the singletons on the run's grid,
+    and ``--max-iter`` caps its Kelley iterations too."""
     if name == "card":
         return cardinality_weights()
     try:
@@ -191,23 +192,22 @@ def _structure_problem(spec: Namespace, problem: Problem
                        ) -> tuple[WeightedProblem, bool]:
     """The weighted problem behind solve, partition and trace, and whether
     its weights converged; a chosen weight system beats the file's list,
-    default all ones."""
+    default all ones.  Pre-division weights are read off the structure's
+    own table, so the run measures the structure once."""
     grid = _grid(spec, problem)
     structure = _parse_structure(spec.coalitions, problem.n)
     choice = _weight_choice(spec, problem)
-    converged = True
-    if choice is not None:
-        system = _weight_system(spec, problem, choice)
-        weights = tuple(weight_of(system, s) for s in structure)
-        converged = system.converged
-    elif problem.weights is not None:
+    system = _weight_system(spec, problem, choice) if choice else None
+    if system is None and problem.weights is not None:
         if len(problem.weights) != len(structure):
             raise ConfigError("problem-file weights do not match the structure")
-        weights = problem.weights
+    table = coalition_table(problem.densities, structure, grid)
+    if system is not None:
+        weights = tuple(weight_of(system, s, table) for s in structure)
     else:
-        weights = (1.0,) * len(structure)
-    return (weighted_problem(problem.densities, structure, weights, grid),
-            converged)
+        weights = problem.weights or (1.0,) * len(structure)
+    return (WeightedProblem(structure=structure, weights=weights, table=table),
+            system is None or system.converged)
 
 
 def fmt_num(x: float) -> str:

@@ -9,7 +9,10 @@ competitive optimal partition.
 
 Game values come from the cutting-plane solver (``cutting``), and so does
 the competitive pre-solve behind pre-division weights: its master-LP duals
-mix maxsum partitions into an equitable fractional partition.
+mix maxsum partitions into an equitable fractional partition.  The pre-solve
+measures only the singletons and keeps that partition; each weight is read
+off the measure table its game is solved on, so weights and game values
+share one grid and one table.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from math import factorial
 import numpy as np
 
 from .cutting import cutting_plane_value
-from .measures import Grid, coalition_table
+from .measures import (DEFAULT_GRID_CELLS, Grid, MeasureTable,
+                       coalition_table)
 from .partition import WeightedProblem
 from .subgradient import SolverConfig
 
@@ -40,65 +44,67 @@ def default_game_config(epsilon: float = 1e-3) -> SolverConfig:
 
 @dataclass(frozen=True)
 class WeightSystem:
-    """Coalition weight function; pre-division values are cached at build.
+    """Coalition weight function.
 
-    ``converged`` records whether the competitive pre-solve closed its
-    bracket to epsilon; game values built on unconverged weights are
-    flagged, never silently trusted.
+    A pre-division system keeps its competitive pre-solve's fractional
+    partition: ``shares[i, k]`` is player i's share of cell k.  ``weight_of``
+    values a coalition on the table its game is solved on, which must be on
+    the pre-solve's grid.  ``converged`` records whether the pre-solve
+    closed its bracket to epsilon; game values built on unconverged weights
+    are flagged, never silently trusted.
     """
 
     kind: str
-    values: dict | None = None
+    shares: np.ndarray | None = None
     converged: bool = True
 
     def __post_init__(self):
         if self.kind not in (CARDINALITY, PRE_DIVISION):
             raise ValueError(f"unknown weight system {self.kind!r}")
-        if self.kind == PRE_DIVISION and self.values is None:
-            raise ValueError("pre-division weights need cached values")
+        if self.kind == PRE_DIVISION and self.shares is None:
+            raise ValueError("pre-division weights need the pre-solve shares")
 
 
 def cardinality_weights() -> WeightSystem:
     return WeightSystem(kind=CARDINALITY)
 
 
-def weight_of(system: WeightSystem, coalition) -> float:
-    s = frozenset(coalition)
+def weight_of(system: WeightSystem, coalition, table: MeasureTable) -> float:
+    """w(S): |S| under cardinality weights.  Under pre-division weights, what
+    S's joint preference assigns to its members' shares, read off S's row of
+    ``table``; a table on another grid raises ValueError, and one without
+    that row KeyError."""
+    s = sorted(set(coalition))
     if not s:
         raise ValueError("empty coalition has no weight")
     if system.kind == CARDINALITY:
         return float(len(s))
-    try:
-        return system.values[s]
-    except KeyError:
-        raise KeyError(f"no cached weight for coalition {sorted(s)}") from None
+    if table.grid.cell_count != system.shares.shape[1]:
+        raise ValueError("pre-division weights and the table are on "
+                         "different grids")
+    row = table.mass_row(s)  # before the shares, so a missing row is KeyError
+    return float(system.shares[s].sum(axis=0) @ row)
 
 
-def pre_division_weights(players,
-                         config: SolverConfig = PRE_SOLVE_CONFIG,
-                         grid: Grid = Grid(4096)) -> WeightSystem:
+def pre_division_weights(players, config: SolverConfig = PRE_SOLVE_CONFIG,
+                         grid: Grid = Grid(DEFAULT_GRID_CELLS)
+                         ) -> WeightSystem:
     """Weights from the competitive optimal partition.
 
-    Solves the all-singletons equal-weight problem on ``grid`` with the
-    cutting-plane solver and takes the lambda mix of its maxsum partitions
-    (``shares`` of the result): a fractional partition, equitable at the
-    optimum, that splits only a few cells.  Every coalition is valued by its
-    joint preference on the union of its members' shares.  If the pre-solve
-    stops short of ``config.epsilon``, the system is flagged unconverged.
+    Measures the n singletons on ``grid``, solves their equal-weight
+    problem with the cutting-plane solver and keeps the lambda mix of its
+    maxsum partitions (``shares`` of the result): a fractional partition,
+    equitable at the optimum, that splits only a few cells.  No coalition is
+    valued here; ``weight_of`` reads each weight off the table its game is
+    solved on.  If the pre-solve stops short of ``config.epsilon``, the
+    system is flagged unconverged.
     """
     n = len(players)
-    all_subsets = _nonempty_subsets(n)
-    full = coalition_table(players, all_subsets, grid)
     singletons = tuple((i,) for i in range(n))
-    problem = WeightedProblem(structure=singletons, weights=(1.0,) * n,
-                              table=full.restrict(singletons))
-    res = cutting_plane_value(problem, config)
-    shares = res.shares
-
-    values = {frozenset(s): float(shares[list(s)].sum(axis=0)
-                                  @ full.mass_row(s))
-              for s in all_subsets}
-    return WeightSystem(kind=PRE_DIVISION, values=values,
+    res = cutting_plane_value(WeightedProblem(
+        structure=singletons, weights=(1.0,) * n,
+        table=coalition_table(players, singletons, grid)), config)
+    return WeightSystem(kind=PRE_DIVISION, shares=res.shares,
                         converged=res.converged)
 
 
@@ -139,7 +145,7 @@ class GameTable:
 
 def full_game(players, system: WeightSystem,
               config: SolverConfig | None = None,
-              grid: Grid = Grid(4096), jobs: int = 1,
+              grid: Grid = Grid(DEFAULT_GRID_CELLS), jobs: int = 1,
               subsets=None) -> GameTable:
     """Game values w(S) times the maxmin value of S versus the remaining
     singletons, for each coalition S of ``subsets`` (default: every nonempty
@@ -168,11 +174,11 @@ def full_game(players, system: WeightSystem,
     for structure in sorted(structures):
         res = cutting_plane_value(WeightedProblem(
             structure=structure,
-            weights=tuple(weight_of(system, u) for u in structure),
+            weights=tuple(weight_of(system, u, table) for u in structure),
             table=table.restrict(structure)), config)
         for s in structures[structure]:
             entries[frozenset(s)] = GameEntry(
-                value=weight_of(system, s) * res.midpoint,
+                value=weight_of(system, s, table) * res.midpoint,
                 converged=res.converged and system.converged)
     return GameTable(players=n, system=system, entries=entries)
 

@@ -32,6 +32,9 @@ MASS_TOL = 1e-9
 
 _EDGE_EPS = 1e-12  # evaluation offset to dodge infinite beta densities at 0/1
 
+#: grid cells of a problem file that names none, and of the library's solves
+DEFAULT_GRID_CELLS = 4096
+
 
 @dataclass(frozen=True)
 class DensitySpec:

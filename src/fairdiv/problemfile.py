@@ -15,7 +15,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .measures import DensitySpec
+from .measures import DEFAULT_GRID_CELLS, DensitySpec
 
 #: the finest grid a problem file (or ``--grid``) may ask for; one 5-player
 #: measure table at this size already takes some 250 MB
@@ -35,7 +35,7 @@ class PlayerSpec:
 @dataclass(frozen=True)
 class Problem:
     players: tuple[PlayerSpec, ...]
-    grid_cells: int = 4096
+    grid_cells: int = DEFAULT_GRID_CELLS
     weights: tuple[float, ...] | str | None = None
 
     @property
@@ -104,7 +104,7 @@ def problem_from_json(doc) -> Problem:
         players.append(PlayerSpec(name=str(name),
                                   density=_density_from_json(entry["density"],
                                                              where)))
-    grid_cells = doc.get("grid_cells", 4096)
+    grid_cells = doc.get("grid_cells", DEFAULT_GRID_CELLS)
     if (isinstance(grid_cells, bool) or not isinstance(grid_cells, int)
             or grid_cells < 1):
         raise ProblemFormatError("'grid_cells' must be a positive integer")

@@ -685,6 +685,31 @@ def test_pre_division_weights_use_run_grid(beta_uniform_file, capsys,
     assert seen == [fairdiv.Grid(1024)]
 
 
+def test_pre_division_solve_measures_each_table_once(tmp_path, capsys,
+                                                     monkeypatch):
+    # the pre-solve measures the 13 singletons and the solve its 3 units;
+    # no table of all 8,191 coalitions is built for the weights
+    rows, build = [], fairdiv.coalition_table
+
+    def counting(players, subsets, grid):
+        rows.append(len(subsets))
+        return build(players, subsets, grid)
+
+    for module in (fairdiv.coalitions, fairdiv.cli):
+        monkeypatch.setattr(module, "coalition_table", counting)
+    path = tmp_path / "thirteen.json"
+    path.write_text(json.dumps({
+        "players": [{"density": {"kind": "beta", "a": 1 + i, "b": 13 - i}}
+                    for i in range(13)],
+        "grid_cells": 256,
+    }))
+    rc = main(["--problem", str(path), "--command", "solve",
+               "--weights", "pre", "--coalitions", "1,2|3|4"])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out.startswith("[")
+    assert rows == [13, 3]
+
+
 @pytest.fixture()
 def spike_file(tmp_path):
     # the spike on [0, 1e-4] lies inside the first of 4096 cells and misses

@@ -3,8 +3,9 @@ import pytest
 
 import fairdiv.coalitions
 from fairdiv import (DensitySpec, GameTable, Grid, SolverConfig,
-                     cardinality_weights, cutting_plane_value, full_game,
-                     pre_division_weights, shapley, weight_of)
+                     cardinality_weights, coalition_table,
+                     cutting_plane_value, full_game, pre_division_weights,
+                     shapley, weight_of)
 from fairdiv.coalitions import GameEntry, versus_singletons
 from helpers import shapley_by_permutations
 
@@ -20,15 +21,29 @@ def pre_system(five_players):
     return pre_division_weights(five_players)
 
 
-def test_cardinality_weights():
+@pytest.fixture()
+def built_tables(monkeypatch):
+    """Every measure table that coalitions builds, in order."""
+    tables = []
+    build = fairdiv.coalitions.coalition_table
+
+    def spy(players, subsets, grid):
+        tables.append(build(players, subsets, grid))
+        return tables[-1]
+
+    monkeypatch.setattr(fairdiv.coalitions, "coalition_table", spy)
+    return tables
+
+
+def test_cardinality_weights(table_4096):
     system = cardinality_weights()
-    assert weight_of(system, {0, 2, 4}) == 3.0
-    assert weight_of(system, (1,)) == 1.0
+    assert weight_of(system, {0, 2, 4}, table_4096) == 3.0
+    assert weight_of(system, (1,), table_4096) == 1.0
 
 
-def test_empty_coalition_weight_rejected():
+def test_empty_coalition_weight_rejected(table_4096):
     with pytest.raises(ValueError):
-        weight_of(cardinality_weights(), ())
+        weight_of(cardinality_weights(), (), table_4096)
 
 
 def test_versus_singletons_structure():
@@ -36,36 +51,70 @@ def test_versus_singletons_structure():
     assert versus_singletons((0, 1, 2, 3, 4), 5) == ((0, 1, 2, 3, 4),)
 
 
-def test_pre_division_weights_on_bundled_instance(five_players, pre_system):
+def test_pre_division_weights_on_bundled_instance(pre_system, table_4096):
     # each singleton piece is worth the competitive value, the full union is
     # the whole cake
     for i in range(5):
-        assert weight_of(pre_system, (i,)) == pytest.approx(0.4035, abs=1e-3)
-    assert weight_of(pre_system, range(5)) == pytest.approx(2.477, abs=2e-3)
+        assert weight_of(pre_system, (i,), table_4096) == pytest.approx(
+            0.4035, abs=1e-3)
+    assert weight_of(pre_system, range(5), table_4096) == pytest.approx(
+        2.477, abs=2e-3)
     # pre-division weights dominate nothing trivially: every value positive
-    assert all(v > 0 for v in pre_system.values.values())
+    assert all(weight_of(pre_system, s, table_4096) > 0
+               for s in table_4096.coalitions)
 
 
 def test_pre_division_singletons_equitable_inside_bracket(
-        competitive_problem, pre_system):
+        competitive_problem, pre_system, table_4096):
     # the lambda mix is exactly equitable, at the certified competitive value
     # of the same 4,096-cell table
     res = cutting_plane_value(competitive_problem, SolverConfig(epsilon=1e-9))
-    singles = [weight_of(pre_system, (i,)) for i in range(5)]
+    singles = [weight_of(pre_system, (i,), table_4096) for i in range(5)]
     assert max(singles) - min(singles) < 1e-12
     assert all(res.lower <= v <= res.upper for v in singles)
 
 
 def test_pre_division_splits_identical_players():
-    system = pre_division_weights([DensitySpec.uniform()] * 2, grid=Grid(64))
+    twins = [DensitySpec.uniform()] * 2
+    system = pre_division_weights(twins, grid=Grid(64))
     assert system.converged
-    assert system.values == {frozenset({0}): 0.5, frozenset({1}): 0.5,
-                             frozenset({0, 1}): 1.0}
+    table = coalition_table(twins, [(0,), (1,), (0, 1)], Grid(64))
+    assert {s: weight_of(system, s, table) for s in table.coalitions} == {
+        (0,): 0.5, (1,): 0.5, (0, 1): 1.0}
 
 
 def test_pre_division_missing_cache_rejected():
+    uniform = [DensitySpec.uniform()]
+    table = coalition_table(uniform, [(0,)], Grid(4096))
     with pytest.raises(KeyError):
-        weight_of(pre_division_weights([DensitySpec.uniform()]), (3,))
+        weight_of(pre_division_weights(uniform), (3,), table)
+
+
+def test_pre_division_weights_on_another_grid_rejected(five_players,
+                                                       pre_system):
+    table = coalition_table(five_players, [(0,)], Grid(64))
+    with pytest.raises(ValueError, match="different grids"):
+        weight_of(pre_system, (0,), table)
+
+
+def test_pre_solve_measures_only_the_singletons(five_players, built_tables):
+    pre_division_weights(five_players)
+    assert [t.coalitions for t in built_tables] == [((0,), (1,), (2,), (3,),
+                                                     (4,))]
+
+
+def test_weights_read_off_each_game_table_match_the_full_table(
+        five_players, pre_system, table_4096, built_tables):
+    # a row's masses do not depend on the other rows of its table, so every
+    # weight read off a one-entry game's table is the same float as off the
+    # all-coalitions table
+    for s in table_4096.coalitions:
+        full_game(five_players, pre_system, subsets=[s])
+        table = built_tables.pop()
+        assert s in table.coalitions
+        for u in table.coalitions:
+            assert (weight_of(pre_system, u, table)
+                    == weight_of(pre_system, u, table_4096))
 
 
 def test_grand_coalition_game_value(disjoint_pair):
@@ -97,35 +146,32 @@ def test_full_game_disjoint_pair_both_systems(disjoint_pair):
         assert card.entries[s].value <= pre.entries[s].value + 2e-3
 
 
-def test_game_on_subsets_matches_full_game(five_players, monkeypatch):
+def test_game_on_subsets_matches_full_game(five_players, built_tables):
     # one entry on its own is the same float as in the full game, and its
     # table holds only the rows of its structure
     players = five_players[:3]
     systems = (cardinality_weights(),
                pre_division_weights(players, grid=Grid(64)))
-    rows = []
-    build = fairdiv.coalitions.coalition_table
 
-    def spy(players, subsets, grid):
-        rows.append(len(subsets))
-        return build(players, subsets, grid)
+    def rows():
+        return len(built_tables.pop().coalitions)
 
-    monkeypatch.setattr(fairdiv.coalitions, "coalition_table", spy)
+    assert rows() == 3  # the pre-solve's singletons
     for system in systems:
         full = full_game(players, system, grid=Grid(64))
-        assert rows.pop() == 7
+        assert rows() == 7
         for s in full.entries:
             one = full_game(players, system, grid=Grid(64), subsets=[s])
             assert list(one.entries) == [s]
             assert one.entries[s] == full.entries[s]
-            assert rows.pop() == len(versus_singletons(s, 3))
+            assert rows() == len(versus_singletons(s, 3))
         some = full_game(players, system, grid=Grid(64),
                          subsets=[(1, 2), (0,)])
         assert list(some.entries) == [frozenset({1, 2}), frozenset({0})]
-        assert rows.pop() == 4  # {2,3} and the three singletons
+        assert rows() == 4  # {2,3} and the three singletons
     full_game(five_players, cardinality_weights(), grid=Grid(64),
               subsets=[(2, 4)])
-    assert rows == [4]
+    assert rows() == 4 and not built_tables
 
 
 def test_empty_coalition_game_rejected(disjoint_pair):
@@ -191,14 +237,16 @@ def test_shapley_missing_entry_rejected():
         shapley(broken)
 
 
-def test_unconverged_pre_solve_flags_every_entry(five_players):
+def test_unconverged_pre_solve_flags_every_entry(five_players,
+                                                all_subsets_5):
     cramped = SolverConfig(epsilon=1e-9, max_iterations=3)
     system = pre_division_weights(five_players, config=cramped,
                                   grid=Grid(256))
     assert not system.converged
-    assert all(v > 0 for v in system.values.values())
+    every = coalition_table(five_players, all_subsets_5, Grid(256))
+    assert all(weight_of(system, s, every) > 0 for s in every.coalitions)
     table = full_game(five_players[:2], pre_division_weights(
-        five_players[:2], config=cramped, grid=Grid(256)), grid=Grid(64))
+        five_players[:2], config=cramped, grid=Grid(64)), grid=Grid(64))
     assert not table.all_converged
     assert all(not e.converged for e in table.entries.values())
 
