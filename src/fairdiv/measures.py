@@ -15,17 +15,21 @@ edge-dominant member by one player, ties going to the lowest index.
 
 Beta densities and CDFs are closed forms from ``scipy.special``, one
 expression for scalar and array arguments; root finds evaluate densities on
-plain floats through ``_density_at``.
+plain floats through ``_density_at``.  The crossing inside a split cell is
+found by ``_brentq``, a port of scipy's Brent method that returns the same
+floats: it is the library's one root find, and one call site did not
+justify the 0.2 s and 23 MB that loading ``scipy.optimize`` costs.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 #: absolute tolerance for "this density integrates to 1"
 MASS_TOL = 1e-9
@@ -251,27 +255,90 @@ def _split_cell_mass(specs, cdfs, ia, ib, k, grid) -> float:
 def _crossing_point(spec_a, spec_b, xl, xr) -> float:
     """Point in (xl, xr) where density a stops dominating density b.
 
-    Most crossings meet a piecewise jump, where brentq falls back to
-    bisection and evaluates both densities some fifty times, so they are
-    evaluated as plain floats by ``_density_at``.  That function runs the
-    same ``scipy.special`` calls in the same order as ``density_eval``, and
-    a piecewise lookup with ``bisect_right`` lands on the same piece as
-    ``searchsorted(side="right")``, so every function value, and with it
-    every brentq iterate and split mass, is bit for bit what evaluating
-    through ``density_eval`` gives.
+    The root is found by ``_brentq``, an in-module port of Brent's method as
+    ``scipy.optimize.brentq`` runs it: this is the library's one root find,
+    and it did not justify loading ``scipy.optimize`` (about 0.2 s and
+    23 MB on every ``import fairdiv``).  Most crossings meet a piecewise
+    jump, where Brent falls back to bisection and evaluates both densities
+    some fifty times, so they are evaluated as plain floats by
+    ``_density_at``.  That function runs the same ``scipy.special`` calls in
+    the same order as ``density_eval``, and a piecewise lookup with
+    ``bisect_right`` lands on the same piece as ``searchsorted(side=
+    "right")``, so every function value, and with it every iterate and split
+    mass, is bit for bit what evaluating through ``density_eval`` gives.
     """
-    lo = max(xl, _EDGE_EPS)
-    hi = min(xr, 1.0 - _EDGE_EPS)
+    lo = max(float(xl), _EDGE_EPS)
+    hi = min(float(xr), 1.0 - _EDGE_EPS)
     density_a, density_b = _density_at(spec_a), _density_at(spec_b)
 
     def diff(x):
-        return density_a(x) - density_b(x)
+        return float(density_a(x) - density_b(x))
 
     with np.errstate(over="ignore"):  # inf right next to a pole at 0 or 1
         fa, fb = diff(lo), diff(hi)
         if np.isfinite(fa) and np.isfinite(fb) and fa > 0 > fb:
-            return float(optimize.brentq(diff, lo, hi, xtol=1e-15))
+            return _brentq(diff, lo, hi, fa, fb)
     return 0.5 * (xl + xr)
+
+
+_BRENT_XTOL = 1e-15
+_BRENT_RTOL = 4 * 2.0 ** -52  # scipy's default: four machine epsilons
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xpre, xcur, fpre, fcur) -> float:
+    """Root of f between xpre and xcur, where f is fpre and fcur, both
+    finite, nonzero and of opposite signs (Brent 1973, ch. 4).
+
+    A line-for-line port of the C ``brentq`` behind ``scipy.optimize.brentq``
+    (xtol 1e-15, the default rtol and at most 100 iterations), in the same
+    float operations in the same order, so it returns the same float.  Each
+    step is the secant or inverse-quadratic step if it is short enough,
+    else bisection, and at least ``delta``.  A NaN function value raises
+    ``ValueError`` and no convergence in 100 iterations ``RuntimeError``,
+    with scipy's messages.
+    """
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        # scipy also asks for nonzero fpre and fcur; a zero fcur returns
+        # below either way
+        if (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # a zero denominator is an infinite or NaN step in C
+                stry = (-fcur * (fblk * dblk - fpre * dpre) / den
+                        if den != 0 else math.inf)
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise ValueError(f"The function value at x={xcur} is NaN; "
+                             "solver cannot continue.")
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} "
+                       "iterations.")
 
 
 def coalition_table(players, subsets, grid: Grid) -> MeasureTable:

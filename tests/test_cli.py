@@ -784,6 +784,19 @@ def test_internal_error_exits_5(capsys, monkeypatch, command):
     assert "internal error" in err
 
 
+def test_root_find_failure_exits_5(capsys, monkeypatch):
+    # a crossing root find that cannot converge is a RuntimeError; the row
+    # of coalition {3, 5} splits cells, the singleton rows do not
+    monkeypatch.setattr("fairdiv.measures._BRENT_MAXITER", 1)
+    rc = main(["--problem", BUNDLED_PROBLEM, "--command", "solve",
+               "--coalitions", "3,5|1|2|4"])
+    assert rc == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    _one_line_error(err)
+    assert err == ("fairdiv: internal error: Failed to converge after 1 "
+                   "iterations.\n")
+
+
 def test_python_m_fairdiv():
     src = os.path.dirname(os.path.dirname(os.path.abspath(fairdiv.__file__)))
     env = dict(os.environ)

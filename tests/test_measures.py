@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 
 import fairdiv.measures
 from fairdiv import (DensitySpec, Grid, cell_masses, coalition_table,
@@ -197,6 +197,69 @@ def test_each_crossing_solved_once(five_players, all_subsets_5, table_4096,
     table = coalition_table(five_players, all_subsets_5, Grid(4096))
     assert len(calls) == 18
     np.testing.assert_array_equal(table.masses, table_4096.masses)
+
+
+def _crossings_match_scipy_brentq(players, subsets, grid, monkeypatch):
+    """Every root find of a table build against ``scipy.optimize.brentq`` on
+    the same bracket, evaluating densities through the public
+    ``density_eval``; returns the brentq function-call counts."""
+    calls = []
+    solve = fairdiv.measures._crossing_point
+    monkeypatch.setattr(fairdiv.measures, "_crossing_point",
+                        lambda *args: calls.append(args) or solve(*args))
+    coalition_table(players, subsets, grid)
+    evaluations = []
+    for spec_a, spec_b, xl, xr in calls:
+        lo, hi = max(xl, 1e-12), min(xr, 1.0 - 1e-12)
+
+        def diff(x):
+            return density_eval(spec_a, x) - density_eval(spec_b, x)
+
+        root, info = optimize.brentq(diff, lo, hi, xtol=1e-15,
+                                     full_output=True)
+        assert solve(spec_a, spec_b, xl, xr) == root
+        evaluations.append(info.function_calls)
+    return evaluations
+
+
+def test_crossings_match_scipy_brentq(five_players, all_subsets_5,
+                                      monkeypatch):
+    evaluations = _crossings_match_scipy_brentq(
+        five_players, all_subsets_5, Grid(4096), monkeypatch)
+    assert len(evaluations) == 18
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_crossings_match_scipy_brentq_random(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    players = [random_density(rng) for _ in range(6)]
+    subsets = [s for r in range(1, 7)
+               for s in itertools.combinations(range(6), r)]
+    evaluations = _crossings_match_scipy_brentq(players, subsets, Grid(2048),
+                                                monkeypatch)
+    # a crossing at a piecewise jump is found by bisection: from a bracket
+    # of 1/2048 down to 1e-15 takes 40 or more halvings
+    assert max(evaluations) >= 40
+
+
+def _cubic(x):
+    # a triple root, which Brent's steps approach too slowly for 100
+    # iterations at xtol 1e-15
+    return (0.2 - x) ** 3
+
+
+def _nan_inside(x):
+    return 1.0 if x < 0.4 else (-1.0 if x > 0.6 else float("nan"))
+
+
+@pytest.mark.parametrize("f, error", [(_cubic, RuntimeError),
+                                      (_nan_inside, ValueError)])
+def test_brentq_fails_as_scipy_does(f, error):
+    with pytest.raises(error) as ours:
+        fairdiv.measures._brentq(f, 0.0, 1.0, f(0.0), f(1.0))
+    with pytest.raises(error) as scipys:
+        optimize.brentq(f, 0.0, 1.0, xtol=1e-15)
+    assert str(ours.value) == str(scipys.value)
 
 
 def test_split_cell_evaluates_only_the_crossing_cdfs(
@@ -448,17 +511,22 @@ def test_table_build_makes_no_scalar_density_eval(five_players, all_subsets_5,
     np.testing.assert_array_equal(table.masses, table_4096.masses)
 
 
-def test_import_leaves_scipy_stats_unloaded():
+@pytest.mark.parametrize("module", ["fairdiv", "fairdiv.cli"])
+def test_import_leaves_scipy_stats_unloaded(module):
+    # the library loads numpy and scipy.special only
     src = os.path.dirname(os.path.dirname(os.path.abspath(fairdiv.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    unloaded = ["scipy.stats", "scipy.optimize", "scipy.linalg",
+                "scipy.integrate"]
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, fairdiv; print('scipy.stats' in sys.modules)"],
+         f"import sys, {module}; "
+         f"print([m for m in {unloaded!r} if m in sys.modules])"],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_split_cells_match_quadrature(five_players, table_4096):
