@@ -2,9 +2,14 @@
 
 Exit codes: 0 success, 2 problem-file parse error or unreadable problem
 path, 3 solver or pre-division weights did not converge (partial outputs are
-still written, flagged), 4 invalid configuration, an unwritable ``--out`` or
-a problem the library rejects, 5 internal error (a library
-``RuntimeError``: a bug, not a property of the problem).
+still written, flagged), 4 invalid configuration, an unwritable ``--out``, a
+run over the work budget or a problem the library rejects, 5 internal error
+(a library ``RuntimeError``: a bug, not a property of the problem).
+
+The work budget bounds the largest measure table a run builds:
+``MAX_TABLE_ROWS`` coalitions and ``MAX_TABLE_BYTES`` (1 GiB) of rows x
+grid cells x 8 bytes.  It is checked arithmetically, with ``--out``,
+before anything is built or solved.
 
 The ``solve`` bracket, game values (``game``, ``shapley``) and pre-division
 weights (``--weights pre``) come from the cutting-plane solver, which has no
@@ -68,6 +73,12 @@ FLAG_COMMANDS = {
     "--step-scale": ("partition", "trace"),
     "--clip-k": ("partition", "trace"),
 }
+
+
+#: work budget: the largest measure table a run may build, in bytes (rows x
+#: grid cells x 8), and in rows, each row being one coalition to value
+MAX_TABLE_BYTES = 2 ** 30
+MAX_TABLE_ROWS = 2 ** 20
 
 
 class ConfigError(ValueError):
@@ -163,6 +174,24 @@ def _grid(spec: Namespace, problem: Problem) -> Grid:
     if not 1 <= cells <= MAX_GRID_CELLS:
         raise ConfigError(f"grid cells must be in 1..{MAX_GRID_CELLS}")
     return Grid(cells)
+
+
+def _check_work_budget(spec: Namespace, problem: Problem) -> None:
+    """Reject a run whose largest measure table is over the work budget,
+    before any coalition list or table is built.  ``game`` and ``shapley``
+    without ``--subset`` tabulate all 2^n - 1 coalitions; every other run
+    at most n rows, and n is the least counted, since a table build
+    evaluates every player at every grid edge."""
+    cells = _grid(spec, problem).cell_count
+    full = spec.command in ("game", "shapley") and spec.subset is None
+    rows = 2 ** problem.n - 1 if full else problem.n
+    if rows > MAX_TABLE_ROWS:
+        raise ConfigError(f"a measure table of {rows} coalitions is over the "
+                          f"work budget of {MAX_TABLE_ROWS} rows")
+    if rows * cells * 8 > MAX_TABLE_BYTES:
+        raise ConfigError(f"a measure table of {rows} coalitions x {cells} "
+                          f"cells x 8 bytes is over the work budget of "
+                          f"{MAX_TABLE_BYTES} bytes (1 GiB)")
 
 
 def _weight_system(spec: Namespace, problem: Problem,
@@ -418,6 +447,7 @@ def run(spec: Namespace) -> int:
     try:
         _check_flags(spec)
         _check_out(spec)
+        _check_work_budget(spec, problem)
         return _DISPATCH[spec.command](spec, problem)
     except ConfigError as e:
         print(f"fairdiv: invalid configuration: {e}", file=sys.stderr)

@@ -9,16 +9,22 @@ module also turns densities into per-cell masses.
 A coalition's cell mass is its largest member mass.  Where the members
 dominating at the cell's two edges differ, it is the larger of that and the
 mass split at their crossing.  The mass is exact when dominance changes at
-most once inside the cell, and otherwise a lower bound.  Rows are built by a
-prefix walk in O(K) each: a row extends its prefix's largest member mass and
-edge-dominant member by one player, ties going to the lowest index.
+most once inside the cell, and otherwise a lower bound.  Edge dominance is
+read off rank runs: one stable sort per table finds the R runs of grid
+edges over which the ranking of the players' edge densities is constant
+(only players that share a coalition are ranked), and on a run every
+coalition has one edge-dominant member, ties going to the lowest index.  Rows are built by a prefix walk: a row extends its
+prefix's largest member mass by one player (one K-wide maximum) and its
+per-run dominant member (O(R)), so split cells are found without visiting
+the K+1 edges.
 
 Beta densities and CDFs are closed forms from ``scipy.special``, one
-expression for scalar and array arguments; root finds evaluate densities on
-plain floats through ``_density_at``.  The crossing inside a split cell is
-found by ``_brentq``, a port of scipy's Brent method that returns the same
-floats: it is the library's one root find, and one call site did not
-justify the 0.2 s and 23 MB that loading ``scipy.optimize`` costs.
+expression for scalar and array arguments; root finds and split cells
+evaluate densities and CDFs on plain floats through ``_density_at`` and
+``_cdf_at``.  The crossing inside a split cell is found by ``_brentq``, a
+port of scipy's Brent method that returns the same floats: it is the
+library's one root find, and one call site did not justify the 0.2 s and
+23 MB that loading ``scipy.optimize`` costs.
 """
 
 from __future__ import annotations
@@ -155,25 +161,52 @@ def density_cdf(spec: DensitySpec, x):
     """Cumulative mass of [0, x]; closed form for every supported kind.
 
     A beta CDF is the regularized incomplete beta function
-    ``scipy.special.betainc(a, b, x)``.
+    ``scipy.special.betainc(a, b, x)``.  A scalar x goes through ``_cdf_at``.
     """
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0.0) or np.any(xs > 1.0):
         raise ValueError("density argument outside [0,1]")
-    if spec.kind == "uniform":
-        out = xs.copy()
-    elif spec.kind == "beta":
-        out = special.betainc(spec.a, spec.b, xs)
-    else:
-        bp = np.asarray(spec.breakpoints)
-        vals = np.asarray(spec.values)
-        cums = np.concatenate([[0.0], np.cumsum(vals * np.diff(bp))])
-        idx = np.clip(np.searchsorted(bp, xs, side="right") - 1,
-                      0, len(vals) - 1)
-        out = cums[idx] + vals[idx] * (xs - bp[idx])
     if np.ndim(x) == 0:
-        return float(out)
-    return out
+        return float(_cdf_at(spec)(float(xs)))
+    if spec.kind == "uniform":
+        return xs.copy()
+    if spec.kind == "beta":
+        return special.betainc(spec.a, spec.b, xs)
+    bp = np.asarray(spec.breakpoints)
+    vals = np.asarray(spec.values)
+    cums = _cumulative_masses(spec)
+    idx = np.clip(np.searchsorted(bp, xs, side="right") - 1,
+                  0, len(vals) - 1)
+    return cums[idx] + vals[idx] * (xs - bp[idx])
+
+
+def _cumulative_masses(spec: DensitySpec) -> np.ndarray:
+    """A piecewise density's mass left of each breakpoint."""
+    return np.concatenate([[0.0], np.cumsum(
+        np.asarray(spec.values) * np.diff(spec.breakpoints))])
+
+
+def _cdf_at(spec: DensitySpec):
+    """The CDF as a function of one float in [0,1], unchecked.
+
+    Built once per spec, like ``_density_at``: a beta CDF is ``betainc`` on
+    the float, and a piecewise one adds to the cumulative masses, computed
+    here once, in the same float operations as ``density_cdf``, so both
+    agree bit for bit.
+    """
+    if spec.kind == "uniform":
+        return lambda x: x
+    if spec.kind == "beta":
+        a, b = spec.a, spec.b
+        return lambda x: special.betainc(a, b, x)
+    bp, vals = spec.breakpoints, spec.values
+    cums = _cumulative_masses(spec).tolist()
+    last = len(vals) - 1
+
+    def cdf(x):
+        i = min(max(bisect_right(bp, x) - 1, 0), last)
+        return cums[i] + vals[i] * (x - bp[i])
+    return cdf
 
 
 @dataclass(frozen=True)
@@ -205,8 +238,10 @@ class MeasureTable:
     0-based player indices.  Each mass integrates the coalition density, the
     max over members, over one cell: exactly when dominance changes at most
     once inside the cell, else from below.  ``coalition_table`` builds each
-    row in O(K) from its prefix's row, keeping a stack of at most n levels;
-    an edge tie goes to the lowest member index.
+    row from its prefix's row, keeping a stack of at most n levels: one
+    K-wide maximum for the member masses, and O(R) work for the edge
+    dominance over the R rank runs of the grid edges; an edge tie goes to
+    the lowest member index.
     """
 
     grid: Grid
@@ -242,14 +277,15 @@ class MeasureTable:
         )
 
 
-def _split_cell_mass(specs, cdfs, ia, ib, k, grid) -> float:
+def _split_cell_mass(specs, cdf_at, cdfs, ia, ib, k, grid) -> float:
     """Mass of cell k with player ia dominating left of the crossing and ib
-    right of it.  ``cdfs[i]`` holds player i's CDF at the grid edges, so
-    only the two CDFs at the crossing are evaluated here."""
+    right of it.  ``cdfs[i]`` holds player i's CDF at the grid edges and
+    ``cdf_at[i]`` is its ``_cdf_at``, so only the two CDFs at the crossing
+    are evaluated here, on a plain float."""
     xl, xr = grid.edges[k], grid.edges[k + 1]
     split = _crossing_point(specs[ia], specs[ib], xl, xr)
-    return (density_cdf(specs[ia], split) - cdfs[ia, k]) \
-        + (cdfs[ib, k + 1] - density_cdf(specs[ib], split))
+    return (cdf_at[ia](split) - cdfs[ia, k]) \
+        + (cdfs[ib, k + 1] - cdf_at[ib](split))
 
 
 def _crossing_point(spec_a, spec_b, xl, xr) -> float:
@@ -341,6 +377,29 @@ def _brentq(f, xpre, xcur, fpre, fcur) -> float:
                        "iterations.")
 
 
+def _rank_runs(players, ranked, grid: Grid
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of grid edges over which the ``ranked`` players' densities at
+    the edges keep their ranking.
+
+    Returns the first edge of each run and the ranking on each: ``order[j,
+    r]`` is the player ranked j-th on run r, by decreasing edge density
+    with ties to the lowest index (a stable sort).  So on a run every
+    coalition of ranked players has one edge-dominant member, its first
+    member in that ranking, which is what an argmax over the members gives
+    at each edge of the run.  The edge densities are needed for nothing
+    else, so they do not outlive the call.
+    """
+    eval_edges = np.clip(grid.edges, _EDGE_EPS, 1.0 - _EDGE_EPS)
+    edges_f = np.empty((len(ranked), grid.cell_count + 1))
+    for row, p in zip(edges_f, ranked):
+        row[:] = density_eval(players[p], eval_edges)
+    order = np.argsort(-edges_f, axis=0, kind="stable")
+    changed = np.any(order[:, 1:] != order[:, :-1], axis=0)
+    starts = np.concatenate([[0], np.flatnonzero(changed) + 1])
+    return starts, np.asarray(ranked, dtype=np.intp)[order[:, starts]]
+
+
 def coalition_table(players, subsets, grid: Grid) -> MeasureTable:
     """Build the measure table for the given coalitions of players.
 
@@ -353,16 +412,24 @@ def coalition_table(players, subsets, grid: Grid) -> MeasureTable:
     computed once per table however many rows contain the pair.  Each
     player's CDF is evaluated once, at every grid edge, for its cell masses
     and for the edge terms of its split masses, so a split cell evaluates
-    only the two CDFs at its crossing.
+    only the two CDFs at its crossing, on plain floats (``_cdf_at``).
 
-    Rows are built by a prefix walk in O(K) each: the sorted member tuples
-    are visited in lexicographic order, and a stack holds one level per
-    member of the current prefix (at most n levels) with its largest member
-    mass, edge-dominant density value and edge-dominant player.  A row
-    extends its longest prefix on the stack by one member at a time; a
-    later member takes an edge only with a strictly larger density, so ties
-    go to the lowest index.  Rows come back in input order; duplicates and
-    rows whose prefixes were not requested need nothing special.
+    Edge dominance is read off rank runs (``_rank_runs``): one stable sort
+    per table of the edge densities of the players that share a row with
+    another splits the K+1 edges into R runs of constant ranking, and on
+    each run every coalition has one edge-dominant member.  A split cell is
+    the cell just left of a run boundary where a row's dominant member
+    changes.  On the 255x32,768 ``wide-table`` instances R is 43 to 52.
+
+    Rows are built by a prefix walk: the sorted member tuples are visited in
+    lexicographic order, and a stack holds one level per member of the
+    current prefix (at most n levels) with its largest member mass and, per
+    run, its edge-dominant member.  A row extends its longest prefix on the
+    stack by one member at a time, at the cost of one K-wide ``np.maximum``
+    into a buffer allocated once per depth, and O(R) dominance work: the
+    dominant member has the smallest rank, ties going to the lowest index.
+    Rows come back in input order; duplicates and rows whose prefixes were
+    not requested need nothing special.
     """
     subsets = [tuple(sorted(set(s))) for s in subsets]
     if not subsets:
@@ -374,15 +441,26 @@ def coalition_table(players, subsets, grid: Grid) -> MeasureTable:
         if s[0] < 0 or s[-1] >= n:
             raise ValueError(f"coalition {s} references unknown players")
 
-    eval_edges = np.clip(grid.edges, _EDGE_EPS, 1.0 - _EDGE_EPS)
-    edges_f = np.vstack([density_eval(p, eval_edges) for p in players])
+    # only members of a coalition of two or more can dominate one another
+    ranked = sorted({p for s in subsets if len(s) > 1 for p in s})
+    starts, order = _rank_runs(players, ranked, grid)
     cdfs = np.vstack([density_cdf(p, grid.edges) for p in players])
+    cdf_at = [_cdf_at(p) for p in players]
     player_masses = np.diff(cdfs)
 
+    # rank_code[p, r] = n * (p's rank on run r) + p, so the smallest code
+    # over a coalition's members names its edge-dominant member on run r; an
+    # unranked player, only ever alone, keeps the constant code p
+    rank_code = np.repeat(np.arange(n)[:, None], len(starts), axis=1)
+    rank_code[order, np.arange(len(starts))] = (
+        n * np.arange(len(ranked))[:, None] + order)
+    split_cells = starts[1:] - 1  # each just left of a run boundary
+
     masses = np.empty((len(subsets), grid.cell_count))
+    depth_buffers = np.empty((max(map(len, subsets)) - 1, grid.cell_count))
     split_masses: dict[tuple[int, int, int], float] = {}
     prefix: tuple[int, ...] = ()
-    stack: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    stack: list[tuple[np.ndarray, np.ndarray]] = []
     for i in sorted(range(len(subsets)), key=subsets.__getitem__):
         s = subsets[i]
         common = 0
@@ -393,26 +471,25 @@ def coalition_table(players, subsets, grid: Grid) -> MeasureTable:
         del stack[common:]
         for p in s[common:]:
             if stack:
-                largest, value, player = stack[-1]
-                wins = edges_f[p] > value
-                stack.append((np.maximum(largest, player_masses[p]),
-                              np.where(wins, edges_f[p], value),
-                              np.where(wins, p, player)))
+                largest, code = stack[-1]
+                stack.append((np.maximum(largest, player_masses[p],
+                                         out=depth_buffers[len(stack) - 1]),
+                              np.minimum(code, rank_code[p])))
             else:
-                stack.append((player_masses[p], edges_f[p],
-                              np.full(grid.cell_count + 1, p)))
+                stack.append((player_masses[p], rank_code[p]))
         prefix = s
 
         row = masses[i]
         row[:] = stack[-1][0]
-        player = stack[-1][2]
-        split = np.flatnonzero(player[:-1] != player[1:])
-        for ia, ib, k in zip(player[split].tolist(),
-                             player[split + 1].tolist(), split.tolist()):
+        dominant = stack[-1][1] % n
+        change = np.flatnonzero(dominant[:-1] != dominant[1:])
+        for ia, ib, k in zip(dominant[change].tolist(),
+                             dominant[change + 1].tolist(),
+                             split_cells[change].tolist()):
             mass = split_masses.get((ia, ib, k))
             if mass is None:
                 mass = split_masses[ia, ib, k] = _split_cell_mass(
-                    players, cdfs, ia, ib, k, grid)
+                    players, cdf_at, cdfs, ia, ib, k, grid)
             row[k] = max(mass, row[k])
 
     return MeasureTable(grid=grid, coalitions=tuple(subsets), masses=masses)

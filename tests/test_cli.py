@@ -10,6 +10,7 @@ from decimal import ROUND_CEILING, ROUND_FLOOR
 import pytest
 
 import fairdiv
+import fairdiv.coalitions
 
 from fairdiv.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, EXIT_PARSE,
                          EXIT_UNCONVERGED, fmt_bound, fmt_num, main)
@@ -414,6 +415,57 @@ def test_unwritable_out_fails_before_the_solve(tmp_path, capsys, monkeypatch,
     assert captured.out == ""
     _one_line_error(captured.err)
     assert "cannot write" in captured.err
+
+
+def _never_build(*args, **kwargs):
+    raise AssertionError("built before the work budget was checked")
+
+
+@pytest.mark.parametrize("players, argv, limit", [
+    # 2^40 - 1 coalitions at the file's 4,096 cells
+    (40, ["--command", "shapley"], "rows"),
+    (40, ["--command", "game", "--weights", "card"], "rows"),
+    # 2^20 - 1 coalitions at 1,024 cells: 8 GiB
+    (20, ["--command", "game", "--grid", "1024"], "bytes"),
+    # 1,000 singletons at 2^20 cells: 8.4 GB
+    (1000, ["--command", "solve", "--grid", str(MAX_GRID_CELLS)], "bytes"),
+])
+def test_work_budget_fails_before_any_table(tmp_path, capsys, monkeypatch,
+                                            players, argv, limit):
+    for module, name in ((fairdiv.cli, "coalition_table"),
+                         (fairdiv.coalitions, "coalition_table"),
+                         (fairdiv.coalitions, "_nonempty_subsets")):
+        monkeypatch.setattr(module, name, _never_build)
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(
+        {"players": [{"density": {"kind": "uniform"}}] * players}))
+    rc = main(["--problem", str(path)] + argv)
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_line_error(captured.err)
+    assert "work budget" in captured.err
+    assert {"rows": "1048576 rows",
+            "bytes": "1073741824 bytes (1 GiB)"}[limit] in captured.err
+
+
+def test_work_budget_admits_its_largest_game(tmp_path, monkeypatch):
+    # 2^15 - 1 coalitions at 4,096 cells is just under 1 GiB: the budget
+    # lets the run reach its table build
+    built = []
+
+    def stop(players, subsets, grid):
+        built.append((len(subsets), grid.cell_count))
+        raise RuntimeError("stop here")
+
+    monkeypatch.setattr(fairdiv.coalitions, "coalition_table", stop)
+    path = tmp_path / "fifteen.json"
+    path.write_text(json.dumps(
+        {"players": [{"density": {"kind": "uniform"}}] * 15}))
+    rc = main(["--problem", str(path), "--command", "game",
+               "--weights", "card"])
+    assert rc == EXIT_INTERNAL
+    assert built == [(2 ** 15 - 1, 4096)]
 
 
 def test_out_file_untouched_by_a_failed_run(one_player_file, tmp_path,

@@ -266,15 +266,21 @@ def test_split_cell_evaluates_only_the_crossing_cdfs(
         five_players, all_subsets_5, table_4096, monkeypatch):
     # each player's CDF is evaluated once, at every grid edge, and a split
     # cell takes its edge CDFs from there: 2 scalar CDFs per split cell (at
-    # the crossing), not 4
+    # the crossing, through the player's ``_cdf_at``), not 4, and none
+    # through the public ``density_cdf``
     scalar_calls, array_calls = [], []
-    cdf = fairdiv.measures.density_cdf
+    cdf, cdf_at = fairdiv.measures.density_cdf, fairdiv.measures._cdf_at
 
     def spy(spec, x):
         (array_calls if np.ndim(x) else scalar_calls).append(x)
         return cdf(spec, x)
 
+    def counted_cdf_at(spec):
+        at = cdf_at(spec)
+        return lambda x: scalar_calls.append(x) or at(x)
+
     monkeypatch.setattr(fairdiv.measures, "density_cdf", spy)
+    monkeypatch.setattr(fairdiv.measures, "_cdf_at", counted_cdf_at)
     table = coalition_table(five_players, all_subsets_5, Grid(4096))
     np.testing.assert_array_equal(table.masses, table_4096.masses)
     assert len(array_calls) == len(five_players)
@@ -367,6 +373,7 @@ def _gathered_rows(players, subsets, grid):
     edges = np.clip(grid.edges, 1e-12, 1.0 - 1e-12)
     at_edges = np.vstack([density_eval(p, edges) for p in players])
     cdfs = np.vstack([density_cdf(p, grid.edges) for p in players])
+    cdf_at = [fairdiv.measures._cdf_at(p) for p in players]
     player_masses = np.vstack([cell_masses(p, grid) for p in players])
     rows = []
     for s in subsets:
@@ -375,7 +382,7 @@ def _gathered_rows(players, subsets, grid):
         dominant = np.array(members)[at_edges[members].argmax(axis=0)]
         for k in np.flatnonzero(dominant[:-1] != dominant[1:]):
             split = fairdiv.measures._split_cell_mass(
-                players, cdfs, dominant[k], dominant[k + 1], k, grid)
+                players, cdf_at, cdfs, dominant[k], dominant[k + 1], k, grid)
             row[k] = max(split, row[k])
         rows.append(row)
     return np.array(rows)
@@ -393,22 +400,113 @@ def test_prefix_walk_matches_per_row_gathers(seed):
         _gathered_rows(players, subsets, Grid(1024)))
 
 
-def test_prefix_walk_breaks_edge_ties_like_argmax():
-    # the uniform, Beta(1, 1) and flat piecewise densities tie at every
-    # edge, and the first piecewise density ties with them on [0, 0.3); a
-    # tied edge stays with the lowest index, and split masses differ from
-    # the largest member mass in the last bits, so a tie given to another
-    # member changes cells
-    players = [DensitySpec.uniform(),
+#: the uniform, Beta(1, 1) and flat piecewise densities tie at every edge,
+#: and the first piecewise density ties with them on [0, 0.3)
+TIE_PLAYERS = [DensitySpec.uniform(),
                DensitySpec.piecewise([0.0, 0.3, 0.6, 1.0], [1.0, 0.4, 1.45]),
                DensitySpec.beta(2, 2),
                DensitySpec.piecewise([0.0, 0.5, 1.0], [1.0, 1.0]),
                DensitySpec.beta(1, 1)]
-    subsets = [s for r in range(1, 6)
-               for s in itertools.combinations(range(5), r)]
+
+
+def _all_subsets(n):
+    return [s for r in range(1, n + 1)
+            for s in itertools.combinations(range(n), r)]
+
+
+def test_prefix_walk_breaks_edge_ties_like_argmax():
+    # a tied edge stays with the lowest index, and split masses differ from
+    # the largest member mass in the last bits, so a tie given to another
+    # member changes cells
+    subsets = _all_subsets(5)
     np.testing.assert_array_equal(
-        coalition_table(players, subsets, Grid(10)).masses,
-        _gathered_rows(players, subsets, Grid(10)))
+        coalition_table(TIE_PLAYERS, subsets, Grid(10)).masses,
+        _gathered_rows(TIE_PLAYERS, subsets, Grid(10)))
+
+
+def _alternating_pair(pieces=500):
+    """Two piecewise densities of ``pieces`` pieces, levels alternating,
+    the second shifted by half a piece: their order flips every
+    1/``pieces``, so at 1,024 cells about every other edge starts a run."""
+    first = DensitySpec.piecewise(np.linspace(0.0, 1.0, pieces + 1),
+                                  np.resize([2.0, 0.5], pieces))
+    shifted = np.concatenate([[0.0], (np.arange(1, pieces) - 0.5) / pieces,
+                              [1.0]])
+    return [first, DensitySpec.piecewise(shifted,
+                                         np.resize([1.0, 2.5], pieces))]
+
+
+def _run_case_players(case):
+    if case == "alternating":
+        return _alternating_pair()
+    if case == "ties":
+        return TIE_PLAYERS
+    if case == "poles":  # infinite at 0 or 1, clipped to 1e-12 at the edges
+        return [DensitySpec.beta(0.5, 0.5), DensitySpec.beta(0.3, 1.0),
+                DensitySpec.uniform(), DensitySpec.beta(1.0, 0.3),
+                DensitySpec.beta(2, 2)]
+    rng = np.random.default_rng(17)
+    return [random_density(rng) for _ in range(6)]
+
+
+RUN_CASES = [("alternating", 1024)] + [
+    (case, cells) for case in ("ties", "poles", "random")
+    for cells in (1, 2, 3, 10, 1024)]
+
+
+@pytest.mark.parametrize("case, cells", RUN_CASES)
+def test_rank_run_walk_matches_per_row_gathers(case, cells):
+    players = _run_case_players(case)
+    subsets = _all_subsets(len(players))
+    np.testing.assert_array_equal(
+        coalition_table(players, subsets, Grid(cells)).masses,
+        _gathered_rows(players, subsets, Grid(cells)))
+
+
+@pytest.mark.parametrize("case, cells", RUN_CASES)
+def test_rank_runs_match_per_edge_rankings(case, cells):
+    # a run starts exactly where the ranking by decreasing edge density,
+    # ties to the lowest index, differs from the previous edge's, and
+    # holds that ranking on every one of its edges
+    players = _run_case_players(case)
+    edges = np.clip(Grid(cells).edges, 1e-12, 1.0 - 1e-12)
+    at_edges = np.vstack([density_eval(p, edges) for p in players])
+    rankings = [sorted(range(len(players)), key=lambda p: (-f[p], p))
+                for f in at_edges.T.tolist()]
+    starts, order = fairdiv.measures._rank_runs(
+        players, range(len(players)), Grid(cells))
+    assert starts.tolist() == [0] + [
+        e for e in range(1, cells + 1) if rankings[e] != rankings[e - 1]]
+    run_of_edge = np.searchsorted(starts, np.arange(cells + 1),
+                                  side="right") - 1
+    assert [order[:, r].tolist() for r in run_of_edge] == rankings
+    if case == "alternating":
+        assert len(starts) == 500
+
+
+def test_only_players_sharing_a_coalition_are_ranked(five_players,
+                                                    monkeypatch):
+    # a player that is alone in every row it is in dominates nothing, so
+    # its density is never evaluated at the edges
+    evaluated = []
+    evaluate = fairdiv.measures.density_eval
+
+    def spy(spec, x):
+        evaluated.append(spec)
+        return evaluate(spec, x)
+
+    monkeypatch.setattr(fairdiv.measures, "density_eval", spy)
+    subsets = [(4,), (1, 3), (0,), (2,), (1,)]
+    table = coalition_table(five_players, subsets, Grid(4096))
+    assert evaluated == [five_players[1], five_players[3]]
+    np.testing.assert_array_equal(
+        table.masses, _gathered_rows(five_players, subsets, Grid(4096)))
+    evaluated.clear()
+    singletons = [(i,) for i in range(5)]
+    table = coalition_table(five_players, singletons, Grid(4096))
+    assert evaluated == []
+    np.testing.assert_array_equal(
+        table.masses, _gathered_rows(five_players, singletons, Grid(4096)))
 
 
 @pytest.mark.parametrize("seed", [3, 11])
@@ -472,6 +570,34 @@ def test_scalar_beta_density_bitwise(a, b):
     spec = DensitySpec.beta(a, b)
     xs = BETA_X[(BETA_X > 0.0) & (BETA_X < 1.0)]
     assert np.array_equal(_scalar_values(spec, xs), density_eval(spec, xs))
+
+
+def _scalar_cdfs(spec, xs):
+    at = fairdiv.measures._cdf_at(spec)
+    return np.array([at(x) for x in xs.tolist()])
+
+
+@pytest.mark.parametrize("a, b", _beta_shapes())
+def test_scalar_beta_cdf_bitwise(a, b):
+    # the split cells' crossing CDFs, on plain floats, against the array
+    # path that gives the edge CDFs
+    spec = DensitySpec.beta(a, b)
+    assert np.array_equal(_scalar_cdfs(spec, BETA_X), density_cdf(spec, BETA_X))
+    assert density_cdf(spec, 0.37) == density_cdf(spec, np.array([0.37]))[0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scalar_piecewise_and_uniform_cdf_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    spec = random_density(rng)
+    while spec.kind != "piecewise":
+        spec = random_density(rng)
+    bp = np.asarray(spec.breakpoints)
+    xs = np.clip(np.concatenate([bp, np.nextafter(bp, -1.0),
+                                 np.nextafter(bp, 2.0), rng.random(200),
+                                 [0.0, 1.0]]), 0.0, 1.0)
+    for spec in (spec, DensitySpec.uniform()):
+        assert np.array_equal(_scalar_cdfs(spec, xs), density_cdf(spec, xs))
 
 
 @pytest.mark.parametrize("seed", range(6))
