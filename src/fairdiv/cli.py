@@ -6,10 +6,14 @@ still written, flagged), 4 invalid configuration, an unwritable ``--out``, a
 run over the work budget or a problem the library rejects, 5 internal error
 (a library ``RuntimeError``: a bug, not a property of the problem).
 
+Every setting is checked before anything is built or solved: the flags
+each command reads, ``--grid``, ``--out``, the work budget and the solver
+settings (``--epsilon``, ``--max-iter``, ``--step-scale``, ``--clip-k``).
 The work budget bounds the largest measure table a run builds:
 ``MAX_TABLE_ROWS`` coalitions and ``MAX_TABLE_BYTES`` (1 GiB) of rows x
-grid cells x 8 bytes.  It is checked arithmetically, with ``--out``,
-before anything is built or solved.
+grid cells x 8 bytes, checked arithmetically.  A command returns its text
+and whether it converged; ``run`` alone writes the text, to ``--out`` or
+stdout, and picks exit 0 or 3.
 
 The ``solve`` bracket, game values (``game``, ``shapley``) and pre-division
 weights (``--weights pre``) come from the cutting-plane solver, which has no
@@ -29,7 +33,8 @@ when neither names one.
 json``.  Every table (``partition`` cells, ``game``, ``shapley`` and the
 per-iterate ``trace``) goes through one record writer: CSV headed by the
 record keys, strings quoted and numbers in ``fmt_num``, or a JSON list of
-the same records.  ``partition --format json`` instead maps each coalition
+the same records.  Each CSV column's format is chosen once, from the
+type of its first field.  ``partition --format json`` instead maps each coalition
 to its merged intervals.  Certified bounds (the ``solve`` bracket and the
 ``lb``/``ub`` columns of the ``trace`` CSV) are rounded outward by
 ``fmt_bound``, so a printed bracket always contains its value.
@@ -148,13 +153,17 @@ def _given(**fields) -> dict:
 
 
 def _check_flags(spec: Namespace) -> None:
-    """Reject a flag that the command would ignore."""
+    """Reject a flag that the command would ignore, and ``--format json``
+    for ``solve``, which prints one bracket line and no table."""
     for flag, commands in FLAG_COMMANDS.items():
         given = getattr(spec, flag[2:].replace("-", "_")) is not None
         if given and spec.command not in commands:
             names = ", ".join(commands[:-1])
             names = f"{names} and {commands[-1]}" if names else commands[-1]
             raise ConfigError(f"{flag} applies only to {names}")
+    if spec.command == "solve" and spec.out_format == "json":
+        raise ConfigError("--format json applies only to partition, game, "
+                          "shapley and trace")
 
 
 def _solver_config(spec: Namespace) -> SolverConfig:
@@ -180,8 +189,8 @@ def _check_work_budget(spec: Namespace, problem: Problem) -> None:
     """Reject a run whose largest measure table is over the work budget,
     before any coalition list or table is built.  ``game`` and ``shapley``
     without ``--subset`` tabulate all 2^n - 1 coalitions; every other run
-    at most n rows, and n is the least counted, since a table build
-    evaluates every player at every grid edge."""
+    at most n rows, since a structure's coalitions are disjoint and the
+    pre-division pre-solve measures the n singletons."""
     cells = _grid(spec, problem).cell_count
     full = spec.command in ("game", "shapley") and spec.subset is None
     rows = 2 ** problem.n - 1 if full else problem.n
@@ -198,14 +207,11 @@ def _weight_system(spec: Namespace, problem: Problem,
                    name: str) -> WeightSystem:
     """The ``card`` or ``pre`` weight system.  The competitive pre-solve
     behind pre-division weights measures the singletons on the run's grid,
-    and ``--max-iter`` caps its Kelley iterations too."""
+    and ``--max-iter``, already checked by ``_solver_config``, caps its
+    Kelley iterations too."""
     if name == "card":
         return cardinality_weights()
-    try:
-        config = replace(PRE_SOLVE_CONFIG,
-                         **_given(max_iterations=spec.max_iter))
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    config = replace(PRE_SOLVE_CONFIG, **_given(max_iterations=spec.max_iter))
     return pre_division_weights(problem.densities, config=config,
                                 grid=_grid(spec, problem))
 
@@ -298,91 +304,81 @@ def _emit(spec: Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _csv_field(value) -> str:
-    # floats are most fields, so test them first; bool, int and str are not
-    # floats, so the order does not change the bytes
-    if isinstance(value, float):
-        return fmt_num(value)
+def _csv_format(value):
+    """The CSV formatter of a column whose first field is ``value``; every
+    field of a column has its first field's type."""
     if isinstance(value, str):
-        return f'"{value}"'
+        return '"{}"'.format
     if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, int):
-        return str(value)
-    return fmt_num(value)
+        return lambda v: str(v).lower()
+    return str if isinstance(value, int) else fmt_num
 
 
-def _emit_records(spec: Namespace, records: list[dict],
-                  outward: dict[str, str] | None = None) -> None:
+def _records_text(spec: Namespace, records: list[dict],
+                  outward: dict[str, str] | None = None) -> str:
     """One dict per row: a JSON list, or CSV headed by the dict keys.
     ``outward`` maps the keys of certified bounds to their ``fmt_bound``
     rounding in CSV; JSON writes every float in full."""
     if spec.out_format == "json":
-        _emit(spec, json.dumps(records, indent=2) + "\n")
-        return
+        return json.dumps(records, indent=2) + "\n"
     outward = outward or {}
-    fields = [partial(fmt_bound, rounding=outward[key]) if key in outward
-              else _csv_field for key in records[0]]
+    formats = [partial(fmt_bound, rounding=outward[key]) if key in outward
+               else _csv_format(v) for key, v in records[0].items()]
     lines = [",".join(records[0])]
-    lines += [",".join(f(v) for f, v in zip(fields, rec.values()))
+    lines += [",".join(f(v) for f, v in zip(formats, rec.values()))
               for rec in records]
-    _emit(spec, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_solve(spec: Namespace, problem: Problem) -> int:
-    if spec.out_format == "json":
-        raise ConfigError("--format json applies only to partition, game, "
-                          "shapley and trace")
+def _cmd_solve(spec: Namespace, problem: Problem,
+               config: SolverConfig) -> tuple[str, bool]:
     wp, weights_converged = _structure_problem(spec, problem)
-    res = cutting_plane_value(wp, _solver_config(spec))
-    _emit(spec, f"[{fmt_bound(res.lower, ROUND_FLOOR)}, "
-                f"{fmt_bound(res.upper, ROUND_CEILING)}]\n")
-    return EXIT_OK if res.converged and weights_converged else EXIT_UNCONVERGED
+    res = cutting_plane_value(wp, config)
+    return (f"[{fmt_bound(res.lower, ROUND_FLOOR)}, "
+            f"{fmt_bound(res.upper, ROUND_CEILING)}]\n",
+            res.converged and weights_converged)
 
 
-def _cmd_partition(spec: Namespace, problem: Problem) -> int:
+def _cmd_partition(spec: Namespace, problem: Problem,
+                   config: SolverConfig) -> tuple[str, bool]:
     wp, weights_converged = _structure_problem(spec, problem)
-    res = solve_partition(wp, _solver_config(spec))
+    res = solve_partition(wp, config)
     alloc = res.allocation
     if spec.out_format == "json":
         labeled = {
             _coalition_label(wp.structure[j]): [[a, b] for a, b in spans]
             for j, spans in sorted(alloc.intervals().items())
         }
-        _emit(spec, json.dumps(labeled, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(labeled, indent=2, sort_keys=True) + "\n"
     else:
         labels = [_coalition_label(s) for s in wp.structure]
         edges = wp.grid.edges.tolist()
-        _emit_records(spec, [
+        text = _records_text(spec, [
             {"cell_index": k, "x_left": edges[k], "x_right": edges[k + 1],
              "coalition": labels[j]}
             for k, j in enumerate(alloc.assignment.tolist())])
-    return EXIT_OK if res.converged and weights_converged else EXIT_UNCONVERGED
+    return text, res.converged and weights_converged
 
 
-def _systems(spec: Namespace, problem: Problem) -> dict:
-    """The chosen weight system, else both; a list of weights in the file
-    is per structure and so chooses none."""
-    choice = _weight_choice(spec, problem)
-    names = [choice] if choice else ["card", "pre"]
-    return {name: _weight_system(spec, problem, name) for name in names}
-
-
-def _game_tables(spec: Namespace, problem: Problem,
+def _game_tables(spec: Namespace, problem: Problem, config: SolverConfig,
                  subsets=None) -> dict[str, GameTable]:
-    """The game of each weight system, on ``subsets`` (default: every
-    nonempty coalition)."""
+    """The game of the chosen weight system, else of both, on ``subsets``
+    (default: every nonempty coalition); a list of weights in the file is
+    per structure and so chooses none."""
+    choice = _weight_choice(spec, problem)
+    systems = {name: _weight_system(spec, problem, name)
+               for name in ([choice] if choice else ["card", "pre"])}
     grid = _grid(spec, problem)
-    config = _solver_config(spec)
     return {name: full_game(problem.densities, system, config=config,
                             grid=grid, subsets=subsets)
-            for name, system in _systems(spec, problem).items()}
+            for name, system in systems.items()}
 
 
-def _cmd_game(spec: Namespace, problem: Problem) -> int:
+def _cmd_game(spec: Namespace, problem: Problem,
+              config: SolverConfig) -> tuple[str, bool]:
     subsets = (None if spec.subset is None
                else [_parse_players(spec.subset, problem.n)])
-    tables = _game_tables(spec, problem, subsets)
+    tables = _game_tables(spec, problem, config, subsets)
     records = []
     # every table holds the same coalitions, in the same order
     for s in next(iter(tables.values())).entries:
@@ -390,35 +386,35 @@ def _cmd_game(spec: Namespace, problem: Problem) -> int:
         records.append({"coalition": _coalition_label(s),
                         **{f"eta_{name}": e.value for name, e in row.items()},
                         "converged": all(e.converged for e in row.values())})
-    _emit_records(spec, records)
-    ok = all(rec["converged"] for rec in records)
-    return EXIT_OK if ok else EXIT_UNCONVERGED
+    return (_records_text(spec, records),
+            all(rec["converged"] for rec in records))
 
 
-def _cmd_shapley(spec: Namespace, problem: Problem) -> int:
-    tables = _game_tables(spec, problem)
+def _cmd_shapley(spec: Namespace, problem: Problem,
+                 config: SolverConfig) -> tuple[str, bool]:
+    tables = _game_tables(spec, problem, config)
     values = {name: shapley(t).values for name, t in tables.items()}
-    _emit_records(spec, [
+    return (_records_text(spec, [
         {"player": i + 1, **{f"sv_{name}": v[i] for name, v in values.items()}}
-        for i in range(problem.n)])
-    ok = all(t.all_converged for t in tables.values())
-    return EXIT_OK if ok else EXIT_UNCONVERGED
+        for i in range(problem.n)]),
+        all(t.all_converged for t in tables.values()))
 
 
-def _cmd_trace(spec: Namespace, problem: Problem) -> int:
+def _cmd_trace(spec: Namespace, problem: Problem,
+               config: SolverConfig) -> tuple[str, bool]:
     wp, weights_converged = _structure_problem(spec, problem)
-    res = solve_value(wp, replace(_solver_config(spec), record_trace=True))
+    res = solve_value(wp, replace(config, record_trace=True))
     tr = res.trace
     keys = (["t", "ub", "lb", "g", "vbar", "step"]
             + [f"alpha_{j + 1}" for j in range(wp.m)]
             + [f"u_{j + 1}" for j in range(wp.m)])
-    _emit_records(spec, [
+    return (_records_text(spec, [
         dict(zip(keys, (t, ub, lb, g, vbar, step, *alpha.tolist(),
                         *u.tolist())))
         for t, ub, lb, g, vbar, step, alpha, u in zip(
             tr.t, tr.ub, tr.lb, tr.g, tr.vbar, tr.step, tr.alpha, tr.u)],
-        outward={"lb": ROUND_FLOOR, "ub": ROUND_CEILING})
-    return EXIT_OK if res.converged and weights_converged else EXIT_UNCONVERGED
+        outward={"lb": ROUND_FLOOR, "ub": ROUND_CEILING}),
+        res.converged and weights_converged)
 
 
 _DISPATCH = {
@@ -431,7 +427,13 @@ _DISPATCH = {
 
 
 def run(spec: Namespace) -> int:
-    """Run one parsed command line; returns the exit code."""
+    """Run one parsed command line; returns the exit code.
+
+    Every check that can exit 4 on the command line (flags, ``--out``, the
+    work budget with ``--grid``, the solver settings) runs here, before any
+    coalition list or table is built.  A command returns its text and
+    whether it converged; only ``run`` writes the text and maps convergence
+    to exit 0 or 3."""
     try:
         problem = load_problem(spec.problem_path)
     except FileNotFoundError:
@@ -448,7 +450,9 @@ def run(spec: Namespace) -> int:
         _check_flags(spec)
         _check_out(spec)
         _check_work_budget(spec, problem)
-        return _DISPATCH[spec.command](spec, problem)
+        config = _solver_config(spec)
+        text, converged = _DISPATCH[spec.command](spec, problem, config)
+        _emit(spec, text)
     except ConfigError as e:
         print(f"fairdiv: invalid configuration: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -458,6 +462,7 @@ def run(spec: Namespace) -> int:
     except RuntimeError as e:
         print(f"fairdiv: internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    return EXIT_OK if converged else EXIT_UNCONVERGED
 
 
 def main(argv=None) -> int:

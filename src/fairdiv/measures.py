@@ -280,12 +280,13 @@ class MeasureTable:
 def _split_cell_mass(specs, cdf_at, cdfs, ia, ib, k, grid) -> float:
     """Mass of cell k with player ia dominating left of the crossing and ib
     right of it.  ``cdfs[i]`` holds player i's CDF at the grid edges and
-    ``cdf_at[i]`` is its ``_cdf_at``, so only the two CDFs at the crossing
-    are evaluated here, on a plain float."""
+    ``cdf_at[i]`` is its ``_cdf_at`` (both indexed by player, as a mapping
+    or an array), so only the two CDFs at the crossing are evaluated here,
+    on a plain float."""
     xl, xr = grid.edges[k], grid.edges[k + 1]
     split = _crossing_point(specs[ia], specs[ib], xl, xr)
-    return (cdf_at[ia](split) - cdfs[ia, k]) \
-        + (cdfs[ib, k + 1] - cdf_at[ib](split))
+    return (cdf_at[ia](split) - cdfs[ia][k]) \
+        + (cdfs[ib][k + 1] - cdf_at[ib](split))
 
 
 def _crossing_point(spec_a, spec_b, xl, xr) -> float:
@@ -409,10 +410,11 @@ def coalition_table(players, subsets, grid: Grid) -> MeasureTable:
     larger of that and the mass split at their crossing: exact when
     dominance changes at most once inside the cell, a lower bound otherwise.
     A split mass depends only on the ordered pair and the cell, so it is
-    computed once per table however many rows contain the pair.  Each
-    player's CDF is evaluated once, at every grid edge, for its cell masses
-    and for the edge terms of its split masses, so a split cell evaluates
-    only the two CDFs at its crossing, on plain floats (``_cdf_at``).
+    computed once per table however many rows contain the pair.  The CDF
+    of each player a row names is evaluated once, at every grid edge, for
+    its cell masses and for the edge terms of its split masses, so a split
+    cell evaluates only the two CDFs at its crossing, on plain floats
+    (``_cdf_at``).  A player no row names is not evaluated at all.
 
     Edge dominance is read off rank runs (``_rank_runs``): one stable sort
     per table of the edge densities of the players that share a row with
@@ -444,9 +446,10 @@ def coalition_table(players, subsets, grid: Grid) -> MeasureTable:
     # only members of a coalition of two or more can dominate one another
     ranked = sorted({p for s in subsets if len(s) > 1 for p in s})
     starts, order = _rank_runs(players, ranked, grid)
-    cdfs = np.vstack([density_cdf(p, grid.edges) for p in players])
-    cdf_at = [_cdf_at(p) for p in players]
-    player_masses = np.diff(cdfs)
+    named = sorted({p for s in subsets for p in s})
+    cdfs = {p: density_cdf(players[p], grid.edges) for p in named}
+    cdf_at = {p: _cdf_at(players[p]) for p in named}
+    player_masses = {p: np.diff(cdfs[p]) for p in named}
 
     # rank_code[p, r] = n * (p's rank on run r) + p, so the smallest code
     # over a coalition's members names its edge-dominant member on run r; an

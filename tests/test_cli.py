@@ -449,6 +449,33 @@ def test_work_budget_fails_before_any_table(tmp_path, capsys, monkeypatch,
             "bytes": "1073741824 bytes (1 GiB)"}[limit] in captured.err
 
 
+def _never_measure(*args, **kwargs):
+    raise AssertionError("measured before the solver settings were checked")
+
+
+@pytest.mark.parametrize("command, setting", [
+    *[(command, setting)
+      for command in ("solve", "partition", "trace", "game", "shapley")
+      for setting in ("--epsilon -1", "--epsilon nan", "--max-iter 0")],
+    *[(command, setting) for command in ("partition", "trace")
+      for setting in ("--step-scale 0", "--clip-k 1")],
+])
+def test_invalid_solver_setting_fails_before_any_table(capsys, monkeypatch,
+                                                       command, setting):
+    # with pre-division weights every command measures the singletons and
+    # runs the pre-solve; a setting the solver rejects exits 4 before both
+    for module in (fairdiv.cli, fairdiv.coalitions):
+        for name in ("coalition_table", "pre_division_weights"):
+            monkeypatch.setattr(module, name, _never_measure)
+    rc = main(["--problem", BUNDLED_PROBLEM, "--command", command,
+               "--weights", "pre"] + setting.split())
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_line_error(captured.err)
+    assert "invalid configuration" in captured.err
+
+
 def test_work_budget_admits_its_largest_game(tmp_path, monkeypatch):
     # 2^15 - 1 coalitions at 4,096 cells is just under 1 GiB: the budget
     # lets the run reach its table build

@@ -288,6 +288,30 @@ def test_split_cell_evaluates_only_the_crossing_cdfs(
     assert len(scalar_calls) == 2 * 18  # 18 distinct split cells
 
 
+def test_table_evaluates_only_the_players_its_rows_name(five_players,
+                                                       monkeypatch):
+    # rows naming players 1, 3 and 5 of six evaluate those three CDFs at the
+    # grid edges and no other, and equal the same rows of the table of every
+    # coalition of the six
+    six_players = list(five_players) + [DensitySpec.beta(3, 2)]
+    grid = Grid(64)
+    full = coalition_table(six_players, _all_subsets(6), grid)
+    array_calls = []
+    cdf = fairdiv.measures.density_cdf
+
+    def spy(spec, x):
+        if np.ndim(x):
+            array_calls.append(spec)
+        return cdf(spec, x)
+
+    monkeypatch.setattr(fairdiv.measures, "density_cdf", spy)
+    rows = [(0,), (2, 4)]
+    table = coalition_table(six_players, rows, grid)
+    assert array_calls == [six_players[p] for p in (0, 2, 4)]
+    for row in rows:
+        np.testing.assert_array_equal(table.mass_row(row), full.mass_row(row))
+
+
 def test_unsplit_cells_are_the_largest_member_mass(
         five_players, all_subsets_5, table_4096, monkeypatch):
     # densities are evaluated at the cell edges only, never at midpoints;
