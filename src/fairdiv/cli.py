@@ -6,14 +6,15 @@ still written, flagged), 4 invalid configuration, an unwritable ``--out``, a
 run over the work budget or a problem the library rejects, 5 internal error
 (a library ``RuntimeError``: a bug, not a property of the problem).
 
-Every setting is checked before anything is built or solved: the flags
-each command reads, ``--grid``, ``--out``, the work budget and the solver
-settings (``--epsilon``, ``--max-iter``, ``--step-scale``, ``--clip-k``).
-The work budget bounds the largest measure table a run builds:
-``MAX_TABLE_ROWS`` coalitions and ``MAX_TABLE_BYTES`` (1 GiB) of rows x
-grid cells x 8 bytes, checked arithmetically.  A command returns its text
-and whether it converged; ``run`` alone writes the text, to ``--out`` or
-stdout, and picks exit 0 or 3.
+Every setting is checked before anything is built or solved, in this
+order: the flags each command reads, ``--out``, the solver settings
+(``--epsilon``, ``--max-iter``, ``--step-scale``, ``--clip-k``), ``--grid``
+and the work budget.  The work budget bounds the largest measure table a
+run builds, counting the rows that run values: ``MAX_TABLE_ROWS``
+coalitions and ``MAX_TABLE_BYTES`` (1 GiB) of rows x grid cells x 8 bytes,
+checked arithmetically.  A command returns its text and whether it
+converged; ``run`` alone writes the text, to ``--out`` or stdout, and
+picks exit 0 or 3.
 
 The ``solve`` bracket, game values (``game``, ``shapley``) and pre-division
 weights (``--weights pre``) come from the cutting-plane solver, which has no
@@ -122,8 +123,6 @@ def _parse_players(text: str, n: int) -> tuple[int, ...]:
         ids = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise ConfigError(f"cannot parse player list {text!r}") from None
-    if not ids:
-        raise ConfigError("empty player list")
     for i in ids:
         if i < 1 or i > n:
             raise ConfigError(f"player {i} out of range 1..{n}")
@@ -187,13 +186,24 @@ def _grid(spec: Namespace, problem: Problem) -> Grid:
 
 def _check_work_budget(spec: Namespace, problem: Problem) -> None:
     """Reject a run whose largest measure table is over the work budget,
-    before any coalition list or table is built.  ``game`` and ``shapley``
-    without ``--subset`` tabulate all 2^n - 1 coalitions; every other run
-    at most n rows, since a structure's coalitions are disjoint and the
-    pre-division pre-solve measures the n singletons."""
+    before any table is built.  It counts the rows the run builds: the
+    structure's coalitions for solve, partition and trace, S and the other
+    players' singletons for ``game --subset S``, all 2^n - 1 coalitions for
+    a full game, and the n singletons wherever the pre-division pre-solve
+    runs: under ``pre`` weights, and in a game that names no weight system
+    and so computes both."""
     cells = _grid(spec, problem).cell_count
-    full = spec.command in ("game", "shapley") and spec.subset is None
-    rows = 2 ** problem.n - 1 if full else problem.n
+    n = problem.n
+    game = spec.command in ("game", "shapley")
+    if not game:
+        rows = len(_parse_structure(spec.coalitions, n))
+    elif spec.subset is not None:
+        rows = n - len(_parse_players(spec.subset, n)) + 1
+    else:
+        rows = 2 ** n - 1
+    choice = _weight_choice(spec, problem)
+    if choice == "pre" or (game and choice is None):
+        rows = max(rows, n)
     if rows > MAX_TABLE_ROWS:
         raise ConfigError(f"a measure table of {rows} coalitions is over the "
                           f"work budget of {MAX_TABLE_ROWS} rows")
@@ -430,10 +440,10 @@ def run(spec: Namespace) -> int:
     """Run one parsed command line; returns the exit code.
 
     Every check that can exit 4 on the command line (flags, ``--out``, the
-    work budget with ``--grid``, the solver settings) runs here, before any
-    coalition list or table is built.  A command returns its text and
-    whether it converged; only ``run`` writes the text and maps convergence
-    to exit 0 or 3."""
+    solver settings, the work budget with ``--grid`` and the coalition
+    lists it counts) runs here, before any table is built.  A command
+    returns its text and whether it converged; only ``run`` writes the text
+    and maps convergence to exit 0 or 3."""
     try:
         problem = load_problem(spec.problem_path)
     except FileNotFoundError:
@@ -449,8 +459,8 @@ def run(spec: Namespace) -> int:
     try:
         _check_flags(spec)
         _check_out(spec)
-        _check_work_budget(spec, problem)
         config = _solver_config(spec)
+        _check_work_budget(spec, problem)
         text, converged = _DISPATCH[spec.command](spec, problem, config)
         _emit(spec, text)
     except ConfigError as e:

@@ -1,10 +1,12 @@
 """Player preferences as densities on the cake [0,1], and their discretization.
 
 A player's preference is a probability density on [0,1] (uniform, beta, or
-piecewise constant).  A coalition values a piece by the best joint split of
-it among its members, which makes the coalition density the pointwise max of
-the member densities.  Everything downstream works on a uniform grid, so this
-module also turns densities into per-cell masses.
+piecewise constant).  A uniform density is read as one piece of height 1,
+so the evaluators know two kinds, beta and piecewise.  A coalition values a
+piece by the best joint split of it among its members, which makes the
+coalition density the pointwise max of the member densities.  Everything
+downstream works on a uniform grid, so this module also turns densities
+into per-cell masses.
 
 A coalition's cell mass is its largest member mass.  Where the members
 dominating at the cell's two edges differ, it is the larger of that and the
@@ -19,7 +21,9 @@ per-run dominant member (O(R)), so split cells are found without visiting
 the K+1 edges.
 
 Beta densities and CDFs are closed forms from ``scipy.special``, one
-expression for scalar and array arguments; root finds and split cells
+expression for scalar and array arguments.  A piecewise density finds the
+piece holding x among its interior breakpoints, by ``bisect_right`` for a
+float and ``_pieces`` for an array, which agree.  Root finds and split cells
 evaluate densities and CDFs on plain floats through ``_density_at`` and
 ``_cdf_at``.  The crossing inside a split cell is found by ``_brentq``, a
 port of scipy's Brent method that returns the same floats: it is the
@@ -48,7 +52,12 @@ DEFAULT_GRID_CELLS = 4096
 
 @dataclass(frozen=True)
 class DensitySpec:
-    """A preference density on [0,1].  Use the factory classmethods."""
+    """A preference density on [0,1].  Use the factory classmethods.
+
+    ``uniform()`` keeps the kind ``"uniform"`` but stores its one piece,
+    ``breakpoints=(0.0, 1.0)`` and ``values=(1.0,)``, and is evaluated as a
+    piecewise density; a uniform spec with any other piece is rejected.
+    """
 
     kind: str
     a: float | None = None
@@ -58,7 +67,7 @@ class DensitySpec:
 
     @classmethod
     def uniform(cls) -> "DensitySpec":
-        return cls(kind="uniform")
+        return cls(kind="uniform", breakpoints=(0.0, 1.0), values=(1.0,))
 
     @classmethod
     def beta(cls, a: float, b: float) -> "DensitySpec":
@@ -83,7 +92,9 @@ class DensitySpec:
 
     def __post_init__(self):
         if self.kind == "uniform":
-            pass
+            if (self.breakpoints, self.values) != ((0.0, 1.0), (1.0,)):
+                raise ValueError("a uniform density is one piece of height 1 "
+                                 "on [0, 1]")
         elif self.kind == "beta":
             ab = np.array([self.a, self.b], dtype=float)  # None reads as NaN
             if not np.all(np.isfinite(ab) & (ab > 0)):
@@ -113,6 +124,21 @@ def _require_finite(breakpoints, values) -> None:
         raise ValueError("breakpoints and values must be finite")
 
 
+def _unit_args(x) -> np.ndarray:
+    """x as a float array, checked to lie in [0,1]."""
+    xs = np.asarray(x, dtype=float)
+    if np.any(xs < 0.0) or np.any(xs > 1.0):
+        raise ValueError("density argument outside [0,1]")
+    return xs
+
+
+def _pieces(spec: DensitySpec, xs: np.ndarray) -> np.ndarray:
+    """Index of the piece holding each x in [0,1]: the count of interior
+    breakpoints at or left of x, as ``bisect_right`` finds it for a float.
+    x = 1 and NaN fall in the last piece."""
+    return np.searchsorted(spec.breakpoints[1:-1], xs, side="right")
+
+
 def density_eval(spec: DensitySpec, x):
     """Evaluate the density at x (scalar or array), x must lie in [0,1].
 
@@ -120,20 +146,13 @@ def density_eval(spec: DensitySpec, x):
     from ``scipy.special``: 0, finite or inf at x = 0 and 1 as a and b are
     above, at or below 1.  A scalar x goes through ``_density_at``.
     """
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0.0) or np.any(xs > 1.0):
-        raise ValueError("density argument outside [0,1]")
+    xs = _unit_args(x)
     with np.errstate(over="ignore"):  # inf right next to a pole at 0 or 1
         if np.ndim(x) == 0:
             return float(_density_at(spec)(float(xs)))
         if spec.kind == "beta":
             return _density_at(spec)(xs)
-    if spec.kind == "uniform":
-        return np.ones_like(xs)
-    bp = np.asarray(spec.breakpoints)
-    idx = np.clip(np.searchsorted(bp, xs, side="right") - 1,
-                  0, len(spec.values) - 1)
-    return np.asarray(spec.values)[idx]
+    return np.asarray(spec.values)[_pieces(spec, xs)]
 
 
 def _density_at(spec: DensitySpec):
@@ -141,20 +160,18 @@ def _density_at(spec: DensitySpec):
 
     Built once per spec and then called on plain floats, so a call pays no
     array conversion, range check or ``betaln``.  A piecewise density finds
-    its piece with ``bisect_right``, which matches ``searchsorted(side=
-    "right")``; the beta function is the same ``scipy.special`` expression
-    that ``density_eval`` applies to arrays, so both agree bit for bit.
+    its piece with ``bisect_right`` over the interior breakpoints, which
+    matches ``_pieces``; the beta function is the same ``scipy.special``
+    expression that ``density_eval`` applies to arrays, so both agree bit
+    for bit.
     """
-    if spec.kind == "uniform":
-        return lambda x: 1.0
     if spec.kind == "beta":
         am1, bm1 = spec.a - 1.0, spec.b - 1.0
         log_norm = special.betaln(spec.a, spec.b)
         return lambda x: np.exp(special.xlogy(am1, x)
                                 + special.xlog1py(bm1, -x) - log_norm)
-    bp, vals = spec.breakpoints, spec.values
-    last = len(vals) - 1
-    return lambda x: vals[min(max(bisect_right(bp, x) - 1, 0), last)]
+    inner, vals = spec.breakpoints[1:-1], spec.values
+    return lambda x: vals[bisect_right(inner, x)]
 
 
 def density_cdf(spec: DensitySpec, x):
@@ -163,21 +180,15 @@ def density_cdf(spec: DensitySpec, x):
     A beta CDF is the regularized incomplete beta function
     ``scipy.special.betainc(a, b, x)``.  A scalar x goes through ``_cdf_at``.
     """
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0.0) or np.any(xs > 1.0):
-        raise ValueError("density argument outside [0,1]")
+    xs = _unit_args(x)
     if np.ndim(x) == 0:
         return float(_cdf_at(spec)(float(xs)))
-    if spec.kind == "uniform":
-        return xs.copy()
     if spec.kind == "beta":
         return special.betainc(spec.a, spec.b, xs)
+    i = _pieces(spec, xs)
     bp = np.asarray(spec.breakpoints)
-    vals = np.asarray(spec.values)
-    cums = _cumulative_masses(spec)
-    idx = np.clip(np.searchsorted(bp, xs, side="right") - 1,
-                  0, len(vals) - 1)
-    return cums[idx] + vals[idx] * (xs - bp[idx])
+    return (_cumulative_masses(spec)[i]
+            + np.asarray(spec.values)[i] * (xs - bp[i]))
 
 
 def _cumulative_masses(spec: DensitySpec) -> np.ndarray:
@@ -194,17 +205,15 @@ def _cdf_at(spec: DensitySpec):
     here once, in the same float operations as ``density_cdf``, so both
     agree bit for bit.
     """
-    if spec.kind == "uniform":
-        return lambda x: x
     if spec.kind == "beta":
         a, b = spec.a, spec.b
         return lambda x: special.betainc(a, b, x)
     bp, vals = spec.breakpoints, spec.values
+    inner = bp[1:-1]
     cums = _cumulative_masses(spec).tolist()
-    last = len(vals) - 1
 
     def cdf(x):
-        i = min(max(bisect_right(bp, x) - 1, 0), last)
+        i = bisect_right(inner, x)
         return cums[i] + vals[i] * (x - bp[i])
     return cdf
 

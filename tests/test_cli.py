@@ -495,6 +495,60 @@ def test_work_budget_admits_its_largest_game(tmp_path, monkeypatch):
     assert built == [(2 ** 15 - 1, 4096)]
 
 
+def _players_file(tmp_path, players: int) -> str:
+    path = tmp_path / f"{players}_players.json"
+    path.write_text(json.dumps(
+        {"players": [{"density": {"kind": "beta", "a": 2, "b": 5}}] * players}))
+    return str(path)
+
+
+@pytest.mark.parametrize("players, argv, module, rows", [
+    # two rows of a thousand players at 2^20 cells: 16 MiB
+    (1000, ["solve", "--coalitions", "1|2", "--weights", "card"],
+     fairdiv.cli, 2),
+    (1000, ["trace", "--coalitions", "1,2,3|4"], fairdiv.cli, 2),
+    # S and the other 100 singletons: 101 rows, 808 MiB
+    (200, ["game", "--subset", ",".join(map(str, range(1, 101))),
+           "--weights", "card"], fairdiv.coalitions, 101),
+])
+def test_work_budget_counts_the_rows_the_run_builds(tmp_path, monkeypatch,
+                                                    players, argv, module,
+                                                    rows):
+    # n rows at 2^20 cells would be over 1 GiB; the rows the run values fit,
+    # so it reaches its table build
+    built = []
+
+    def stop(players, subsets, grid):
+        built.append((len(subsets), grid.cell_count))
+        raise RuntimeError("stop here")
+
+    monkeypatch.setattr(module, "coalition_table", stop)
+    rc = main(["--problem", _players_file(tmp_path, players), "--command"]
+              + argv + ["--grid", str(MAX_GRID_CELLS)])
+    assert rc == EXIT_INTERNAL
+    assert built == [(rows, MAX_GRID_CELLS)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--coalitions", "1|2", "--weights", "pre"],
+    # a game naming no weight system computes both, pre-division included
+    ["game", "--subset", "1,2"],
+])
+def test_work_budget_counts_the_pre_solve_singletons(tmp_path, capsys,
+                                                     monkeypatch, argv):
+    for module, name in ((fairdiv.cli, "coalition_table"),
+                         (fairdiv.cli, "pre_division_weights"),
+                         (fairdiv.coalitions, "coalition_table")):
+        monkeypatch.setattr(module, name, _never_build)
+    rc = main(["--problem", _players_file(tmp_path, 1000), "--command"]
+              + argv + ["--grid", str(MAX_GRID_CELLS)])
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    _one_line_error(captured.err)
+    assert "a measure table of 1000 coalitions" in captured.err
+    assert "1073741824 bytes (1 GiB)" in captured.err
+
+
 def test_out_file_untouched_by_a_failed_run(one_player_file, tmp_path,
                                             capsys):
     out = tmp_path / "kept.txt"
@@ -557,6 +611,41 @@ def test_player_out_of_range_exit_code(disjoint_file, capsys):
     rc = main(["--problem", disjoint_file, "--command", "solve",
                "--coalitions", "1|3"])
     assert rc == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--coalitions", "1,a"], "cannot parse player list '1,a'"),
+    (["trace", "--coalitions", "1,|2"], "cannot parse player list '1,'"),
+    (["game", "--subset", "2,2"], "repeated player in '2,2'"),
+    (["partition", "--coalitions", "|"], "empty coalition structure"),
+])
+def test_bad_player_list_exit_code(disjoint_file, capsys, argv, message):
+    rc = main(["--problem", disjoint_file, "--command"] + argv)
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_line_error(captured.err)
+    assert captured.err.strip().endswith(message)
+
+
+@pytest.mark.parametrize("density, weights, message", [
+    ({}, None, "players[0]: density needs a 'kind' field"),
+    ({"kind": "uniform"}, 5, "'weights' must be a list or 'card'/'pre'"),
+    ({"kind": "piecewise", "breakpoints": [0, 1], "values": [1, 2]}, None,
+     "players[0]: need k+1 breakpoints for k values"),
+])
+def test_problem_file_rejection_exit_code(tmp_path, capsys, density, weights,
+                                          message):
+    doc = {"players": [{"density": density}]}
+    if weights is not None:
+        doc["weights"] = weights
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["--problem", str(path), "--command", "solve"])
+    assert rc == EXIT_PARSE
+    captured = capsys.readouterr()
+    _one_line_error(captured.err)
+    assert captured.err.strip().endswith(message)
 
 
 def test_unconverged_exit_code(capsys):

@@ -23,9 +23,11 @@ NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400])
 
 
 def numbers(lo, hi):
-    """Mostly floats in [lo, hi]; a non-finite number one time in five."""
-    return st.integers(0, 4).flatmap(
-        lambda k: NON_FINITE if k == 0 else st.floats(lo, hi))
+    """Mostly floats in [lo, hi]; a non-finite number one time in twenty,
+    so that a file of six players is still often free of them (the
+    simplest draw, k = 0, is a float)."""
+    return st.integers(0, 19).flatmap(
+        lambda k: NON_FINITE if k == 19 else st.floats(lo, hi))
 
 
 @st.composite
@@ -57,14 +59,15 @@ def densities(draw):
 
 @st.composite
 def problem_docs(draw):
-    players = draw(st.lists(densities(), min_size=1, max_size=3))
+    players = draw(st.lists(densities(), min_size=1, max_size=6))
     doc = {"players": [{"density": d} for d in players],
-           "grid_cells": draw(st.one_of(
-               st.integers(1, 8192),
-               st.integers(MAX_GRID_CELLS + 1, 10 ** 15)))}
+           # more grid cells than the cap one time in four
+           "grid_cells": draw(st.integers(0, 3).flatmap(
+               lambda k: st.integers(MAX_GRID_CELLS + 1, 10 ** 15) if k == 3
+               else st.integers(1, 8192)))}
     weights = draw(st.one_of(
         st.none(), st.sampled_from(["card", "pre"]),
-        st.lists(numbers(1e-2, 1e2), min_size=1, max_size=3)))
+        st.lists(numbers(1e-2, 1e2), min_size=1, max_size=6)))
     if weights is not None:
         doc["weights"] = weights
     return doc
@@ -72,14 +75,28 @@ def problem_docs(draw):
 
 @st.composite
 def structures(draw, n):
-    """'1,2|3'-style partition of the n players, or None for singletons."""
+    """'1,2|3'-style coalition structure over some or all of the n players,
+    or None for singletons."""
     if not draw(st.booleans()):
         return None
-    owners = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    # owner -1 leaves the player out of every coalition
+    owners = draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n))
     groups = {}
     for player, owner in enumerate(owners):
-        groups.setdefault(owner, []).append(str(player + 1))
+        if owner >= 0:
+            groups.setdefault(owner, []).append(str(player + 1))
     return "|".join(",".join(g) for g in groups.values())
+
+
+@st.composite
+def subsets(draw, n):
+    """'3,1'-style coalition for ``game --subset``, or None for the full
+    game."""
+    if not draw(st.booleans()):
+        return None
+    players = draw(st.lists(st.integers(1, n), min_size=1, max_size=n,
+                            unique=True))
+    return ",".join(map(str, players))
 
 
 def _non_finite(obj) -> bool:
@@ -100,9 +117,15 @@ def test_problem_files_exit_with_documented_codes(tmp_path_factory, doc,
     path.write_text(json.dumps(doc))  # writes NaN and Infinity as such
     argv = ["--problem", str(path), "--command", command,
             "--grid", "64", "--max-iter", "50"]
-    coalitions = data.draw(structures(len(doc["players"])))
-    if coalitions is not None and command in ("solve", "partition", "trace"):
-        argv += ["--coalitions", coalitions]
+    n = len(doc["players"])
+    if command in ("solve", "partition", "trace"):
+        coalitions = data.draw(structures(n))
+        if coalitions is not None:
+            argv += ["--coalitions", coalitions]
+    if command == "game":
+        subset = data.draw(subsets(n))
+        if subset is not None:
+            argv += ["--subset", subset]
     out, err = io.StringIO(), io.StringIO()
     solves = []
 

@@ -6,7 +6,8 @@ from fairdiv import (DensitySpec, GameTable, Grid, SolverConfig,
                      cardinality_weights, coalition_table,
                      cutting_plane_value, full_game, pre_division_weights,
                      shapley, weight_of)
-from fairdiv.coalitions import GameEntry, versus_singletons
+from fairdiv.coalitions import (PRE_DIVISION, GameEntry, WeightSystem,
+                                versus_singletons)
 from helpers import shapley_by_permutations
 
 
@@ -88,6 +89,15 @@ def test_pre_division_missing_cache_rejected():
     table = coalition_table(uniform, [(0,)], Grid(4096))
     with pytest.raises(KeyError):
         weight_of(pre_division_weights(uniform), (3,), table)
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("fancy", "unknown weight system 'fancy'"),
+    (PRE_DIVISION, "pre-division weights need the pre-solve shares"),
+])
+def test_weight_system_rejections(kind, message):
+    with pytest.raises(ValueError, match=message):
+        WeightSystem(kind=kind)
 
 
 def test_pre_division_weights_on_another_grid_rejected(five_players,

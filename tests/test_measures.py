@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import os
 import subprocess
@@ -700,3 +701,72 @@ def test_split_cells_match_quadrature(five_players, table_4096):
             assert abs(table_4096.masses[row, k] - ref) <= 1e-13
             checked += 1
     assert checked == 75  # 18 distinct crossings, shared across rows
+
+
+UNIT_X = np.concatenate([[0.0, 5e-324, 1e-12], np.linspace(0.0, 1.0, 1025),
+                         [np.nextafter(1.0, 0.0), 1.0]])
+
+
+def test_uniform_evaluates_as_its_one_piece():
+    # the uniform density is the piecewise density of one piece of height 1,
+    # bit for bit, scalar and array, at 0 and 1 too; and it still gives the
+    # closed forms 1 and x
+    uniform = DensitySpec.uniform()
+    piece = DensitySpec.piecewise([0, 1], [1])
+    assert (uniform.breakpoints, uniform.values) == (piece.breakpoints,
+                                                     piece.values)
+    for evaluate in (density_eval, density_cdf):
+        assert np.array_equal(evaluate(uniform, UNIT_X),
+                              evaluate(piece, UNIT_X))
+        for x in UNIT_X.tolist():
+            assert evaluate(uniform, x) == evaluate(piece, x)
+    assert np.array_equal(density_eval(uniform, UNIT_X), np.ones_like(UNIT_X))
+    assert np.array_equal(density_cdf(uniform, UNIT_X), UNIT_X)
+    assert [density_cdf(uniform, x) for x in (0.0, 0.3, 1.0)] == [0.0, 0.3, 1.0]
+    assert np.array_equal(_scalar_cdfs(uniform, UNIT_X), UNIT_X)
+    assert np.array_equal(_scalar_values(uniform, UNIT_X), np.ones_like(UNIT_X))
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(),
+    dict(breakpoints=(0.0, 1.0), values=(2.0,)),
+    dict(breakpoints=(0.0, 0.5, 1.0), values=(1.0, 1.0)),
+    dict(breakpoints=(0.0, 1.0)),
+])
+def test_uniform_with_another_piece_rejected(kwargs):
+    with pytest.raises(ValueError, match="one piece of height 1"):
+        DensitySpec(kind="uniform", **kwargs)
+
+
+def test_piece_lookup_agrees_at_grid_edges():
+    # breakpoints on grid edges: the array lookup and the scalar bisect give
+    # the same piece, which is the one the clipped lookup over all the
+    # breakpoints gives, at x = 1 and NaN included
+    grid = Grid(8)
+    spec = DensitySpec.piecewise(grid.edges[[0, 2, 3, 5, 8]], [1, 3, 0, 2])
+    xs = np.concatenate([grid.edges, np.nextafter(grid.edges[1:], 0.0),
+                         [np.nan]])
+    pieces = fairdiv.measures._pieces(spec, xs)
+    inner = spec.breakpoints[1:-1]
+    assert pieces.tolist() == [bisect.bisect_right(inner, x)
+                               for x in xs.tolist()]
+    clipped = np.clip(np.searchsorted(spec.breakpoints, xs, side="right") - 1,
+                      0, len(spec.values) - 1)
+    assert np.array_equal(pieces, clipped)
+    assert pieces[:9].tolist() == [0, 0, 1, 2, 2, 3, 3, 3, 3]
+
+
+def test_piecewise_spec_must_integrate_to_one():
+    with pytest.raises(ValueError, match="must integrate to 1"):
+        DensitySpec(kind="piecewise", breakpoints=(0.0, 1.0), values=(2.0,))
+
+
+@pytest.mark.parametrize("x", [-0.1, 1.1, np.array([0.5, 1.5])])
+def test_density_cdf_outside_domain(x):
+    with pytest.raises(ValueError, match="outside \\[0,1\\]"):
+        density_cdf(DensitySpec.beta(2, 5), x)
+
+
+def test_coalition_with_unknown_player_rejected(five_players):
+    with pytest.raises(ValueError, match="unknown players"):
+        coalition_table(five_players, [(0,), (2, 5)], Grid(4))

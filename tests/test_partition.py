@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairdiv import (DensitySpec, Grid, WeightedProblem, maxsum_partition,
-                     weighted_problem)
+from fairdiv import (DensitySpec, Grid, WeightedProblem, coalition_table,
+                     maxsum_partition, weighted_problem)
 from fairdiv.partition import Allocation
 from helpers import (argmax_maxsum, brute_force_maxsum, random_alpha,
                      random_problem)
@@ -181,6 +181,18 @@ def test_overlapping_coalitions_rejected(five_players):
 def test_nonpositive_weight_rejected(five_players):
     with pytest.raises(ValueError):
         weighted_problem(five_players, [(0,), (1,)], [1.0, 0.0], Grid(16))
+
+
+@pytest.mark.parametrize("structure, weights, message", [
+    ((), (), "need at least one coalition"),
+    (((0,),), (1.0, 2.0), "one weight per coalition required"),
+    (((1,),), (1.0,), "table rows must match the coalition structure"),
+])
+def test_weighted_problem_rejections(five_players, structure, weights,
+                                     message):
+    table = coalition_table(five_players, [(0,)], Grid(16))
+    with pytest.raises(ValueError, match=message):
+        WeightedProblem(structure=structure, weights=weights, table=table)
 
 
 def test_allocation_intervals_merge():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from fairdiv import (DensitySpec, PlayerSpec, Problem, ProblemFormatError,
@@ -29,6 +31,16 @@ def test_round_trip(tmp_path):
     )
     path = tmp_path / "problem.json"
     save_problem(problem, path)
+    assert load_problem(path) == problem
+
+
+def test_bundled_problem_saves_uniform_as_its_kind(tmp_path):
+    # the uniform density stores its one piece, but the file keeps the kind
+    problem = load_problem(BUNDLED_PROBLEM)
+    path = tmp_path / "saved.json"
+    save_problem(problem, path)
+    doc = json.loads(path.read_text())
+    assert doc["players"][4]["density"] == {"kind": "uniform"}
     assert load_problem(path) == problem
 
 
