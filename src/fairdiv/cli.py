@@ -6,15 +6,19 @@ still written, flagged), 4 invalid configuration, an unwritable ``--out``, a
 run over the work budget or a problem the library rejects, 5 internal error
 (a library ``RuntimeError``: a bug, not a property of the problem).
 
-Every setting is checked before anything is built or solved, in this
-order: the flags each command reads, ``--out``, the solver settings
-(``--epsilon``, ``--max-iter``, ``--step-scale``, ``--clip-k``), ``--grid``
-and the work budget.  The work budget bounds the largest measure table a
-run builds, counting the rows that run values: ``MAX_TABLE_ROWS``
-coalitions and ``MAX_TABLE_BYTES`` (1 GiB) of rows x grid cells x 8 bytes,
-checked arithmetically.  A command returns its text and whether it
-converged; ``run`` alone writes the text, to ``--out`` or stdout, and
-picks exit 0 or 3.
+A run is one pass through ``run``.  It checks the flags each command
+reads, ``--out`` and the solver settings (``--epsilon``, ``--max-iter``,
+``--step-scale``, ``--clip-k``), in that order.  It then resolves each
+input once: the grid, the weight systems the run computes and the
+coalitions it values (the ``--coalitions`` structure, the ``--subset``
+coalition or the full game).  The work budget is arithmetic on those: it
+bounds the largest measure table the run builds, ``MAX_TABLE_ROWS``
+coalitions and ``MAX_TABLE_BYTES`` (1 GiB) of rows x grid cells x 8 bytes.
+Only then are the weight systems built, the pre-division pre-solve among
+them, and then the structure's table or the game tables.  A command only
+solves and formats: it returns its text and whether it converged; ``run``
+alone writes the text, to ``--out`` or stdout, combines that with the
+weights' convergence and picks exit 0 or 3.
 
 The ``solve`` bracket, game values (``game``, ``shapley``) and pre-division
 weights (``--weights pre``) come from the cutting-plane solver, which has no
@@ -70,6 +74,7 @@ EXIT_CONFIG = 4
 EXIT_INTERNAL = 5
 
 COMMANDS = ("solve", "partition", "game", "shapley", "trace")
+GAME_COMMANDS = ("game", "shapley")
 #: flags that only some commands read, and those commands; every other
 #: command rejects them.  The step-rule flags tune the paper's projected
 #: subgradient method, which only partition and trace run.
@@ -184,26 +189,25 @@ def _grid(spec: Namespace, problem: Problem) -> Grid:
     return Grid(cells)
 
 
-def _check_work_budget(spec: Namespace, problem: Problem) -> None:
-    """Reject a run whose largest measure table is over the work budget,
-    before any table is built.  It counts the rows the run builds: the
-    structure's coalitions for solve, partition and trace, S and the other
-    players' singletons for ``game --subset S``, all 2^n - 1 coalitions for
-    a full game, and the n singletons wherever the pre-division pre-solve
-    runs: under ``pre`` weights, and in a game that names no weight system
-    and so computes both."""
-    cells = _grid(spec, problem).cell_count
-    n = problem.n
-    game = spec.command in ("game", "shapley")
-    if not game:
-        rows = len(_parse_structure(spec.coalitions, n))
-    elif spec.subset is not None:
-        rows = n - len(_parse_players(spec.subset, n)) + 1
-    else:
-        rows = 2 ** n - 1
-    choice = _weight_choice(spec, problem)
-    if choice == "pre" or (game and choice is None):
-        rows = max(rows, n)
+def _coalitions(spec: Namespace, n: int) -> tuple[tuple | None, int]:
+    """The coalitions the run values, and the rows of the table they need.
+    For solve, partition and trace: the ``--coalitions`` structure (default:
+    every player alone), one row per coalition.  For a game: the
+    ``--subset`` coalition S, played against the other players alone, so S
+    and n - |S| singletons; else every coalition (None), 2^n - 1 rows."""
+    if spec.command not in GAME_COMMANDS:
+        structure = _parse_structure(spec.coalitions, n)
+        return structure, len(structure)
+    if spec.subset is None:
+        return None, 2 ** n - 1
+    s = _parse_players(spec.subset, n)
+    return (s,), n - len(s) + 1
+
+
+def _check_work_budget(rows: int, grid: Grid) -> None:
+    """Reject a run whose largest measure table, of ``rows`` coalitions on
+    ``grid``, is over the work budget, before any table is built."""
+    cells = grid.cell_count
     if rows > MAX_TABLE_ROWS:
         raise ConfigError(f"a measure table of {rows} coalitions is over the "
                           f"work budget of {MAX_TABLE_ROWS} rows")
@@ -213,7 +217,17 @@ def _check_work_budget(spec: Namespace, problem: Problem) -> None:
                           f"{MAX_TABLE_BYTES} bytes (1 GiB)")
 
 
-def _weight_system(spec: Namespace, problem: Problem,
+def _weight_names(spec: Namespace, problem: Problem) -> tuple[str, ...]:
+    """The weight systems the run computes: ``--weights``, else the file's
+    ``"card"``/``"pre"``; with neither, ``game`` and ``shapley`` compute
+    both and every other command none.  A list of weights in the file is
+    per structure and so names none."""
+    if spec.weights or isinstance(problem.weights, str):
+        return (spec.weights or problem.weights,)
+    return ("card", "pre") if spec.command in GAME_COMMANDS else ()
+
+
+def _weight_system(spec: Namespace, problem: Problem, grid: Grid,
                    name: str) -> WeightSystem:
     """The ``card`` or ``pre`` weight system.  The competitive pre-solve
     behind pre-division weights measures the singletons on the run's grid,
@@ -222,37 +236,22 @@ def _weight_system(spec: Namespace, problem: Problem,
     if name == "card":
         return cardinality_weights()
     config = replace(PRE_SOLVE_CONFIG, **_given(max_iterations=spec.max_iter))
-    return pre_division_weights(problem.densities, config=config,
-                                grid=_grid(spec, problem))
+    return pre_division_weights(problem.densities, config=config, grid=grid)
 
 
-def _weight_choice(spec: Namespace, problem: Problem) -> str | None:
-    """``--weights``, else the file's ``"card"``/``"pre"``, else None."""
-    if spec.weights:
-        return spec.weights
-    return problem.weights if isinstance(problem.weights, str) else None
-
-
-def _structure_problem(spec: Namespace, problem: Problem
-                       ) -> tuple[WeightedProblem, bool]:
-    """The weighted problem behind solve, partition and trace, and whether
-    its weights converged; a chosen weight system beats the file's list,
-    default all ones.  Pre-division weights are read off the structure's
-    own table, so the run measures the structure once."""
-    grid = _grid(spec, problem)
-    structure = _parse_structure(spec.coalitions, problem.n)
-    choice = _weight_choice(spec, problem)
-    system = _weight_system(spec, problem, choice) if choice else None
-    if system is None and problem.weights is not None:
-        if len(problem.weights) != len(structure):
-            raise ConfigError("problem-file weights do not match the structure")
+def _structure_problem(problem: Problem, structure, grid: Grid,
+                       system: WeightSystem | None) -> WeightedProblem:
+    """The weighted problem behind solve, partition and trace: a computed
+    weight system beats the file's list, default all ones.  Pre-division
+    weights are read off the structure's own table, so the run measures
+    the structure once."""
+    weights = problem.weights or (1.0,) * len(structure)
+    if system is None and len(weights) != len(structure):
+        raise ConfigError("problem-file weights do not match the structure")
     table = coalition_table(problem.densities, structure, grid)
     if system is not None:
         weights = tuple(weight_of(system, s, table) for s in structure)
-    else:
-        weights = problem.weights or (1.0,) * len(structure)
-    return (WeightedProblem(structure=structure, weights=weights, table=table),
-            system is None or system.converged)
+    return WeightedProblem(structure=structure, weights=weights, table=table)
 
 
 def fmt_num(x: float) -> str:
@@ -340,18 +339,15 @@ def _records_text(spec: Namespace, records: list[dict],
     return "\n".join(lines) + "\n"
 
 
-def _cmd_solve(spec: Namespace, problem: Problem,
+def _cmd_solve(spec: Namespace, wp: WeightedProblem,
                config: SolverConfig) -> tuple[str, bool]:
-    wp, weights_converged = _structure_problem(spec, problem)
     res = cutting_plane_value(wp, config)
     return (f"[{fmt_bound(res.lower, ROUND_FLOOR)}, "
-            f"{fmt_bound(res.upper, ROUND_CEILING)}]\n",
-            res.converged and weights_converged)
+            f"{fmt_bound(res.upper, ROUND_CEILING)}]\n", res.converged)
 
 
-def _cmd_partition(spec: Namespace, problem: Problem,
+def _cmd_partition(spec: Namespace, wp: WeightedProblem,
                    config: SolverConfig) -> tuple[str, bool]:
-    wp, weights_converged = _structure_problem(spec, problem)
     res = solve_partition(wp, config)
     alloc = res.allocation
     if spec.out_format == "json":
@@ -367,28 +363,11 @@ def _cmd_partition(spec: Namespace, problem: Problem,
             {"cell_index": k, "x_left": edges[k], "x_right": edges[k + 1],
              "coalition": labels[j]}
             for k, j in enumerate(alloc.assignment.tolist())])
-    return text, res.converged and weights_converged
+    return text, res.converged
 
 
-def _game_tables(spec: Namespace, problem: Problem, config: SolverConfig,
-                 subsets=None) -> dict[str, GameTable]:
-    """The game of the chosen weight system, else of both, on ``subsets``
-    (default: every nonempty coalition); a list of weights in the file is
-    per structure and so chooses none."""
-    choice = _weight_choice(spec, problem)
-    systems = {name: _weight_system(spec, problem, name)
-               for name in ([choice] if choice else ["card", "pre"])}
-    grid = _grid(spec, problem)
-    return {name: full_game(problem.densities, system, config=config,
-                            grid=grid, subsets=subsets)
-            for name, system in systems.items()}
-
-
-def _cmd_game(spec: Namespace, problem: Problem,
-              config: SolverConfig) -> tuple[str, bool]:
-    subsets = (None if spec.subset is None
-               else [_parse_players(spec.subset, problem.n)])
-    tables = _game_tables(spec, problem, config, subsets)
+def _cmd_game(spec: Namespace,
+              tables: dict[str, GameTable]) -> tuple[str, bool]:
     records = []
     # every table holds the same coalitions, in the same order
     for s in next(iter(tables.values())).entries:
@@ -400,19 +379,18 @@ def _cmd_game(spec: Namespace, problem: Problem,
             all(rec["converged"] for rec in records))
 
 
-def _cmd_shapley(spec: Namespace, problem: Problem,
-                 config: SolverConfig) -> tuple[str, bool]:
-    tables = _game_tables(spec, problem, config)
+def _cmd_shapley(spec: Namespace,
+                 tables: dict[str, GameTable]) -> tuple[str, bool]:
     values = {name: shapley(t).values for name, t in tables.items()}
+    n = next(iter(tables.values())).players
     return (_records_text(spec, [
         {"player": i + 1, **{f"sv_{name}": v[i] for name, v in values.items()}}
-        for i in range(problem.n)]),
+        for i in range(n)]),
         all(t.all_converged for t in tables.values()))
 
 
-def _cmd_trace(spec: Namespace, problem: Problem,
+def _cmd_trace(spec: Namespace, wp: WeightedProblem,
                config: SolverConfig) -> tuple[str, bool]:
-    wp, weights_converged = _structure_problem(spec, problem)
     res = solve_value(wp, replace(config, record_trace=True))
     tr = res.trace
     keys = (["t", "ub", "lb", "g", "vbar", "step"]
@@ -424,26 +402,23 @@ def _cmd_trace(spec: Namespace, problem: Problem,
         for t, ub, lb, g, vbar, step, alpha, u in zip(
             tr.t, tr.ub, tr.lb, tr.g, tr.vbar, tr.step, tr.alpha, tr.u)],
         outward={"lb": ROUND_FLOOR, "ub": ROUND_CEILING}),
-        res.converged and weights_converged)
+        res.converged)
 
 
-_DISPATCH = {
-    "solve": _cmd_solve,
-    "partition": _cmd_partition,
-    "game": _cmd_game,
-    "shapley": _cmd_shapley,
-    "trace": _cmd_trace,
-}
+#: solve, partition and trace solve the built problem; game and shapley
+#: format the game tables
+_DISPATCH = {"solve": _cmd_solve, "partition": _cmd_partition,
+             "game": _cmd_game, "shapley": _cmd_shapley, "trace": _cmd_trace}
 
 
 def run(spec: Namespace) -> int:
     """Run one parsed command line; returns the exit code.
 
-    Every check that can exit 4 on the command line (flags, ``--out``, the
-    solver settings, the work budget with ``--grid`` and the coalition
-    lists it counts) runs here, before any table is built.  A command
-    returns its text and whether it converged; only ``run`` writes the text
-    and maps convergence to exit 0 or 3."""
+    Check the settings, resolve the grid, weight systems and coalitions
+    once and check the work budget on them; then build the weight systems
+    and the tables, hand those to the command, which solves and formats,
+    and write its text.  The weight systems' convergence and the command's
+    decide exit 0 or 3."""
     try:
         problem = load_problem(spec.problem_path)
     except FileNotFoundError:
@@ -460,8 +435,23 @@ def run(spec: Namespace) -> int:
         _check_flags(spec)
         _check_out(spec)
         config = _solver_config(spec)
-        _check_work_budget(spec, problem)
-        text, converged = _DISPATCH[spec.command](spec, problem, config)
+        grid = _grid(spec, problem)
+        names = _weight_names(spec, problem)
+        coalitions, rows = _coalitions(spec, problem.n)
+        # the pre-division pre-solve measures the n singletons
+        _check_work_budget(max(rows, problem.n) if "pre" in names else rows,
+                           grid)
+        systems = {name: _weight_system(spec, problem, grid, name)
+                   for name in names}
+        if spec.command in GAME_COMMANDS:
+            text, converged = _DISPATCH[spec.command](spec, {
+                name: full_game(problem.densities, system, config=config,
+                                grid=grid, subsets=coalitions)
+                for name, system in systems.items()})
+        else:
+            wp = _structure_problem(problem, coalitions, grid,
+                                    next(iter(systems.values()), None))
+            text, converged = _DISPATCH[spec.command](spec, wp, config)
         _emit(spec, text)
     except ConfigError as e:
         print(f"fairdiv: invalid configuration: {e}", file=sys.stderr)
@@ -472,6 +462,7 @@ def run(spec: Namespace) -> int:
     except RuntimeError as e:
         print(f"fairdiv: internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    converged = converged and all(s.converged for s in systems.values())
     return EXIT_OK if converged else EXIT_UNCONVERGED
 
 

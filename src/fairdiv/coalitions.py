@@ -39,6 +39,8 @@ PRE_SOLVE_CONFIG = SolverConfig(epsilon=1e-9)
 
 
 def default_game_config(epsilon: float = 1e-3) -> SolverConfig:
+    """Settings for game solves.  At the default epsilon this is
+    ``SolverConfig()``, ``full_game``'s default; ``perfbench`` calls it."""
     return SolverConfig(epsilon=epsilon)
 
 
@@ -144,7 +146,7 @@ class GameTable:
 
 
 def full_game(players, system: WeightSystem,
-              config: SolverConfig | None = None,
+              config: SolverConfig = SolverConfig(),
               grid: Grid = Grid(DEFAULT_GRID_CELLS), jobs: int = 1,
               subsets=None) -> GameTable:
     """Game values w(S) times the maxmin value of S versus the remaining
@@ -158,8 +160,6 @@ def full_game(players, system: WeightSystem,
     ``jobs`` is accepted and ignored, since worker threads did not pay.
     """
     n = len(players)
-    if config is None:
-        config = default_game_config()
     if subsets is None:
         subsets = _nonempty_subsets(n)
     structures = {}

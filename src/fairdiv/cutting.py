@@ -221,11 +221,13 @@ class _MasterLP:
 
 @dataclass(frozen=True, kw_only=True)
 class CuttingResult(SolveResult):
-    """A cutting-plane solve, with the held columns and their assignments.
+    """A cutting-plane solve, with the held columns and their queries.
 
     ``columns`` stacks the m axis points, then every held value vector;
-    ``assignments`` holds the cell assignment of each non-axis column, in
-    the same order, and ``lam`` the master LP's final lambda over them.
+    ``queries`` holds, row by row in the same order, the alpha at which the
+    oracle returned each non-axis column (m floats, not its K-cell
+    assignment), and ``lam`` the master LP's final lambda over all columns.
+    ``problem`` is the problem solved, whose oracle ``shares`` re-runs.
     ``stop_reason`` is why the loop stopped: ``"epsilon"`` (bracket
     narrower than epsilon), ``"exact"`` (narrower than the rounding floor
     of 1e-12, for an epsilon below that), ``"stall"`` (the oracle returned
@@ -233,8 +235,9 @@ class CuttingResult(SolveResult):
     simplex pivots.
     """
 
+    problem: WeightedProblem
     columns: np.ndarray
-    assignments: tuple[np.ndarray, ...]
+    queries: np.ndarray
     lam: np.ndarray
     stop_reason: str
     pivots: int
@@ -243,17 +246,22 @@ class CuttingResult(SolveResult):
     def shares(self) -> np.ndarray:
         """Fractional partition shares[j, k] = sum_i lambda_i [a_i(k) = j].
 
-        lambda is the master LP's final one, over every held column.  Every
-        cell's shares sum to 1, and the value vector (shares *
-        cell_values).sum(axis=1) is lambda C: its smallest coordinate is the
-        master-LP value, and it is equitable wherever the master LP's alpha
-        is interior.
+        lambda is the master LP's final one, over every held column.  The
+        assignments a_i are rebuilt, not kept: the maxsum oracle is re-run
+        at the query of each column with lambda > 0, in column order.  It
+        is deterministic, so each is the assignment the solve saw, and a
+        column of lambda 0 would add nothing.  Every cell's shares sum to
+        1, and the value vector (shares * cell_values).sum(axis=1) is
+        lambda C: its smallest coordinate is the master-LP value, and it is
+        equitable wherever the master LP's alpha is interior.
         """
         m, lam = self.columns.shape[1], self.lam
-        cells = np.arange(self.assignments[0].size)
+        cells = np.arange(self.problem.grid.cell_count)
         out = np.repeat(lam[:m, None], cells.size, axis=1)
-        for weight, assignment in zip(lam[m:], self.assignments):
-            out[assignment, cells] += weight
+        for weight, alpha in zip(lam[m:], self.queries):
+            if weight > 0:
+                pvv = maxsum_partition(self.problem, alpha)
+                out[pvv.allocation.assignment, cells] += weight
         return out
 
 
@@ -268,7 +276,7 @@ def cutting_plane_value(problem: WeightedProblem,
     result's ``stop_reason`` says which.  The step rule and
     ``record_trace`` of ``config`` are not used.  The result carries the
     query point with the smallest g, and the held columns with their
-    lambda-mix ``shares``.
+    queries and lambda-mix ``shares``.
     """
     totals = problem.totals
     pvv = maxsum_partition(problem, np.full(problem.m, 1.0 / problem.m))
@@ -277,7 +285,7 @@ def cutting_plane_value(problem: WeightedProblem,
     lp = _MasterLP(totals, totals.max())
     lp.add(pvv.u)
     held = {u.tobytes() for u in lp.columns}
-    assignments = [pvv.allocation.assignment]
+    queries = [pvv.alpha]
     lb, stalled = -np.inf, False
 
     t = 0
@@ -303,13 +311,13 @@ def cutting_plane_value(problem: WeightedProblem,
         if not stalled:
             held.add(key)
             lp.add(pvv.u)
-            assignments.append(pvv.allocation.assignment)
+            queries.append(pvv.alpha)
 
     # on an exact pinch (always so for m == 1) g and the bound sum the same
     # cells in different orders and may differ in the last bit
     return CuttingResult(lower=min(lb, best.g_value), upper=best.g_value,
                          alpha=best.alpha, pvv=best, iterations=t,
                          converged=reason in ("epsilon", "exact"),
-                         columns=lp.columns, assignments=tuple(assignments),
-                         lam=lp.solution()[1], stop_reason=reason,
-                         pivots=lp.pivots)
+                         problem=problem, columns=lp.columns,
+                         queries=np.array(queries), lam=lp.solution()[1],
+                         stop_reason=reason, pivots=lp.pivots)

@@ -85,9 +85,6 @@ class Allocation:
     grid: Grid
     assignment: np.ndarray
 
-    def cells_of(self, j: int) -> np.ndarray:
-        return np.nonzero(self.assignment == j)[0]
-
     def intervals(self) -> dict[int, list[tuple[float, float]]]:
         """Merged [a,b] intervals per coalition index."""
         assign = self.assignment

@@ -549,6 +549,58 @@ def test_work_budget_counts_the_pre_solve_singletons(tmp_path, capsys,
     assert "1073741824 bytes (1 GiB)" in captured.err
 
 
+@pytest.mark.parametrize("weights", ["card", "pre", None])
+@pytest.mark.parametrize("argv, rows", [
+    (["solve", "--coalitions", "1,2|3"], 2),
+    (["partition", "--coalitions", "1,2|3"], 2),
+    (["trace", "--coalitions", "1,2|3"], 2),
+    (["game"], 15),
+    (["game", "--subset", "1,2"], 3),
+    (["shapley"], 15),
+])
+def test_work_budget_counts_the_tables_the_run_builds(tmp_path, capsys,
+                                                      monkeypatch, argv,
+                                                      rows, weights):
+    # the documented rows of four players: one per coalition of the
+    # structure, n - |S| + 1 for game --subset S, 2^n - 1 for a full game,
+    # and at least the n singletons wherever pre-division weights are
+    # computed: under pre, and in a game that names no weight system
+    pre = weights == "pre" or (weights is None
+                               and argv[0] in ("game", "shapley"))
+    rows = max(rows, 4) if pre else rows
+    budget, built, presolves = [], [], []
+    check, build = fairdiv.cli._check_work_budget, fairdiv.coalition_table
+
+    def counting_budget(rows, grid):
+        budget.append(rows)
+        check(rows, grid)
+
+    def counting_build(players, subsets, grid):
+        built.append(len(subsets))
+        return build(players, subsets, grid)
+
+    def counting_presolve(*args, **kwargs):
+        presolves.append(args)
+        return fairdiv.pre_division_weights(*args, **kwargs)
+
+    monkeypatch.setattr(fairdiv.cli, "_check_work_budget", counting_budget)
+    for module in (fairdiv.cli, fairdiv.coalitions):
+        monkeypatch.setattr(module, "coalition_table", counting_build)
+    monkeypatch.setattr(fairdiv.cli, "pre_division_weights",
+                        counting_presolve)
+    path = tmp_path / "four.json"
+    path.write_text(json.dumps({"players": [
+        {"density": {"kind": "beta", "a": 1 + i, "b": 5 - i}}
+        for i in range(4)]}))
+    rc = main(["--problem", str(path), "--command", *argv, "--grid", "64",
+               "--max-iter", "50"]
+              + (["--weights", weights] if weights else []))
+    assert rc in (EXIT_OK, EXIT_UNCONVERGED)
+    assert budget == [rows]
+    assert max(built) == rows
+    assert len(presolves) == (1 if pre else 0)
+
+
 def test_out_file_untouched_by_a_failed_run(one_player_file, tmp_path,
                                             capsys):
     out = tmp_path / "kept.txt"

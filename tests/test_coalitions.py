@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,8 +9,8 @@ from fairdiv import (DensitySpec, GameTable, Grid, SolverConfig,
                      cardinality_weights, coalition_table,
                      cutting_plane_value, full_game, pre_division_weights,
                      shapley, weight_of)
-from fairdiv.coalitions import (PRE_DIVISION, GameEntry, WeightSystem,
-                                versus_singletons)
+from fairdiv.coalitions import (PRE_DIVISION, PRE_SOLVE_CONFIG, GameEntry,
+                                WeightSystem, versus_singletons)
 from helpers import shapley_by_permutations
 
 
@@ -105,6 +108,28 @@ def test_pre_division_weights_on_another_grid_rejected(five_players,
     table = coalition_table(five_players, [(0,)], Grid(64))
     with pytest.raises(ValueError, match="different grids"):
         weight_of(pre_system, (0,), table)
+
+
+def test_pre_solve_memory_does_not_grow_with_its_iterations(five_players):
+    # a solve keeps each held column's query alpha (m floats), not its cell
+    # assignment: 63 iterations peak no higher than 10, where keeping the
+    # assignments would add 53 x 65,536 x 8 bytes
+    cells = 65536
+
+    def peak(max_iterations):
+        config = replace(PRE_SOLVE_CONFIG, max_iterations=max_iterations)
+        tracemalloc.start()
+        try:
+            system = pre_division_weights(five_players, config=config,
+                                          grid=Grid(cells))
+            return system, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    capped, capped_peak = peak(10)
+    full, full_peak = peak(PRE_SOLVE_CONFIG.max_iterations)
+    assert not capped.converged and full.converged
+    assert full_peak - capped_peak < cells * 8
 
 
 def test_pre_solve_measures_only_the_singletons(five_players, built_tables):
