@@ -21,7 +21,7 @@ Both solvers start at the uniform alpha.
 from .bounds import lower_bound
 from .coalitions import (GameEntry, GameTable, ShapleyResult, WeightSystem,
                          cardinality_weights, full_game, pre_division_weights,
-                         shapley, weight_of)
+                         pre_division_from_table, shapley, weight_of)
 from .cutting import cutting_plane_value
 from .measures import (DensitySpec, Grid, MeasureTable, cell_masses,
                        coalition_table, density_cdf, density_eval)
@@ -41,8 +41,8 @@ __all__ = [
     "cardinality_weights", "cell_masses", "clipped_step", "coalition_table",
     "cutting_plane_value", "density_cdf", "density_eval", "full_game",
     "load_problem", "lower_bound", "maxsum_partition", "pre_division_weights",
-    "save_problem", "shapley", "solve_partition", "solve_value",
-    "update_alpha", "weight_of", "weighted_problem",
+    "pre_division_from_table", "save_problem", "shapley", "solve_partition",
+    "solve_value", "update_alpha", "weight_of", "weighted_problem",
 ]
 
 __version__ = "0.1.0"

@@ -7,42 +7,15 @@ height, which is a certified lower bound at least min_j u_j.
 
 The bound is evaluated on Python floats: numpy's per-call dispatch costs
 more than the arithmetic on m entries.  Sums keep numpy's order
-(``_pairwise_sum``), so every bound is bit-identical to its array form.
+(``partition._pairwise_sum``), so every bound is bit-identical to its
+array form.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
-from .partition import PvvResult
-
-
-def _pairwise_sum(xs: Sequence[float]) -> float:
-    """Sum in the order ``np.add.reduce`` takes on a contiguous float64
-    vector: one running sum below 8 entries, up to 128 entries 8 strided
-    running sums combined pairwise and then the tail, and above that the
-    sum of the two halves (the first a multiple of 8 long)."""
-    n = len(xs)
-    if n < 8:
-        total = 0.0
-        for x in xs:
-            total += x
-        return total
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
-    lanes = list(xs[:8])
-    body = n - n % 8
-    for i in range(8, body, 8):
-        for j in range(8):
-            lanes[j] += xs[i + j]
-    total = (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-             + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
-    for x in xs[body:]:
-        total += x
-    return total
+from .partition import PvvResult, _pairwise_sum
 
 
 def lower_bound(pvv: PvvResult, totals) -> float:

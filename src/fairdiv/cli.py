@@ -15,10 +15,12 @@ coalition or the full game).  The work budget is arithmetic on those: it
 bounds the largest measure table the run builds, ``MAX_TABLE_ROWS``
 coalitions and ``MAX_TABLE_BYTES`` (1 GiB) of rows x grid cells x 8 bytes.
 Only then are the weight systems built, the pre-division pre-solve among
-them, and then the structure's table or the game tables.  A command only
-solves and formats: it returns its text and whether it converged; ``run``
-alone writes the text, to ``--out`` or stdout, combines that with the
-weights' convergence and picks exit 0 or 3.
+them, and then the structure's table or the game tables.  A run measures
+each list of coalitions once: the pre-solve's n singletons are also the
+table of the default structure.  A command only solves and formats: it
+returns its text and whether it converged; ``run`` alone writes the text,
+to ``--out`` or stdout, combines that with the weights' convergence and
+picks exit 0 or 3.
 
 The ``solve`` bracket, game values (``game``, ``shapley``) and pre-division
 weights (``--weights pre``) come from the cutting-plane solver, which has no
@@ -55,11 +57,11 @@ import sys
 from argparse import Namespace
 from dataclasses import replace
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
-from functools import partial
+from functools import cache, partial
 
 from .coalitions import (PRE_SOLVE_CONFIG, GameTable, WeightSystem,
-                         cardinality_weights, full_game, pre_division_weights,
-                         shapley, weight_of)
+                         cardinality_weights, full_game,
+                         pre_division_from_table, shapley, weight_of)
 from .cutting import cutting_plane_value
 from .measures import Grid, coalition_table
 from .partition import WeightedProblem
@@ -96,7 +98,10 @@ class ConfigError(ValueError):
     pass
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and each parse returns a new namespace."""
     p = argparse.ArgumentParser(
         prog="fairdiv",
         description="Maxmin fair division of [0,1] with coalition games.")
@@ -227,7 +232,14 @@ def _weight_names(spec: Namespace, problem: Problem) -> tuple[str, ...]:
     return ("card", "pre") if spec.command in GAME_COMMANDS else ()
 
 
-def _weight_system(spec: Namespace, problem: Problem, grid: Grid,
+def _tables(problem: Problem, grid: Grid):
+    """The run's measure tables, by tuple of coalitions: each is measured
+    once on ``grid``, so the n singletons of the pre-division pre-solve are
+    also the default structure's table."""
+    return cache(partial(coalition_table, problem.densities, grid=grid))
+
+
+def _weight_system(spec: Namespace, tables, n: int,
                    name: str) -> WeightSystem:
     """The ``card`` or ``pre`` weight system.  The competitive pre-solve
     behind pre-division weights measures the singletons on the run's grid,
@@ -236,10 +248,11 @@ def _weight_system(spec: Namespace, problem: Problem, grid: Grid,
     if name == "card":
         return cardinality_weights()
     config = replace(PRE_SOLVE_CONFIG, **_given(max_iterations=spec.max_iter))
-    return pre_division_weights(problem.densities, config=config, grid=grid)
+    return pre_division_from_table(tables(tuple((i,) for i in range(n))),
+                                   config)
 
 
-def _structure_problem(problem: Problem, structure, grid: Grid,
+def _structure_problem(problem: Problem, structure, tables,
                        system: WeightSystem | None) -> WeightedProblem:
     """The weighted problem behind solve, partition and trace: a computed
     weight system beats the file's list, default all ones.  Pre-division
@@ -248,7 +261,7 @@ def _structure_problem(problem: Problem, structure, grid: Grid,
     weights = problem.weights or (1.0,) * len(structure)
     if system is None and len(weights) != len(structure):
         raise ConfigError("problem-file weights do not match the structure")
-    table = coalition_table(problem.densities, structure, grid)
+    table = tables(structure)
     if system is not None:
         weights = tuple(weight_of(system, s, table) for s in structure)
     return WeightedProblem(structure=structure, weights=weights, table=table)
@@ -441,7 +454,8 @@ def run(spec: Namespace) -> int:
         # the pre-division pre-solve measures the n singletons
         _check_work_budget(max(rows, problem.n) if "pre" in names else rows,
                            grid)
-        systems = {name: _weight_system(spec, problem, grid, name)
+        tables = _tables(problem, grid)
+        systems = {name: _weight_system(spec, tables, problem.n, name)
                    for name in names}
         if spec.command in GAME_COMMANDS:
             text, converged = _DISPATCH[spec.command](spec, {
@@ -449,7 +463,7 @@ def run(spec: Namespace) -> int:
                                 grid=grid, subsets=coalitions)
                 for name, system in systems.items()})
         else:
-            wp = _structure_problem(problem, coalitions, grid,
+            wp = _structure_problem(problem, coalitions, tables,
                                     next(iter(systems.values()), None))
             text, converged = _DISPATCH[spec.command](spec, wp, config)
         _emit(spec, text)
@@ -467,7 +481,7 @@ def run(spec: Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    return run(_build_parser().parse_args(argv))
+    return run(_parser().parse_args(argv))
 
 
 def console_main() -> None:

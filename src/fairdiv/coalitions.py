@@ -93,19 +93,34 @@ def pre_division_weights(players, config: SolverConfig = PRE_SOLVE_CONFIG,
                          ) -> WeightSystem:
     """Weights from the competitive optimal partition.
 
-    Measures the n singletons on ``grid``, solves their equal-weight
-    problem with the cutting-plane solver and keeps the lambda mix of its
-    maxsum partitions (``shares`` of the result): a fractional partition,
-    equitable at the optimum, that splits only a few cells.  No coalition is
-    valued here; ``weight_of`` reads each weight off the table its game is
-    solved on.  If the pre-solve stops short of ``config.epsilon``, the
-    system is flagged unconverged.
+    Measures the n singletons on ``grid`` and solves on that table
+    (``pre_division_from_table``).
     """
-    n = len(players)
+    singletons = tuple((i,) for i in range(len(players)))
+    return pre_division_from_table(coalition_table(players, singletons, grid),
+                                   config)
+
+
+def pre_division_from_table(table: MeasureTable,
+                            config: SolverConfig = PRE_SOLVE_CONFIG
+                            ) -> WeightSystem:
+    """Weights from the competitive optimal partition, on ``table``, whose
+    rows must be the n singletons in order.
+
+    Solves the singletons' equal-weight problem with the cutting-plane
+    solver and keeps the lambda mix of its maxsum partitions (``shares`` of
+    the result): a fractional partition, equitable at the optimum, that
+    splits only a few cells.  No coalition is valued here; ``weight_of``
+    reads each weight off the table its game is solved on.  If the pre-solve
+    stops short of ``config.epsilon``, the system is flagged unconverged.
+    """
+    n = len(table.coalitions)
     singletons = tuple((i,) for i in range(n))
+    if table.coalitions != singletons:
+        raise ValueError("the pre-solve table must hold the singletons, "
+                         "in order")
     res = cutting_plane_value(WeightedProblem(
-        structure=singletons, weights=(1.0,) * n,
-        table=coalition_table(players, singletons, grid)), config)
+        structure=singletons, weights=(1.0,) * n, table=table), config)
     return WeightSystem(kind=PRE_DIVISION, shares=res.shares,
                         converged=res.converged)
 
@@ -155,9 +170,11 @@ def full_game(players, system: WeightSystem,
 
     The measure table holds only the units these structures use: every
     nonempty coalition by default, S and the other singletons for
-    ``subsets=[S]``.  Structures that coincide after canonical ordering (all
-    singletons, for instance) are solved once.  Solves run serially;
-    ``jobs`` is accepted and ignored, since worker threads did not pay.
+    ``subsets=[S]``.  Each unit is valued once (``weight_of``), and both
+    the structure weights and the entry values read those values.
+    Structures that coincide after canonical ordering (all singletons, for
+    instance) are solved once.  Solves run serially; ``jobs`` is accepted
+    and ignored, since worker threads did not pay.
     """
     n = len(players)
     if subsets is None:
@@ -167,6 +184,7 @@ def full_game(players, system: WeightSystem,
         structures.setdefault(versus_singletons(s, n), []).append(s)
     units = dict.fromkeys(u for structure in structures for u in structure)
     table = coalition_table(players, list(units), grid)
+    weights = {u: weight_of(system, u, table) for u in units}
 
     # each result is dropped once its entries are made, so the held columns
     # of one solve at a time stay in memory
@@ -174,11 +192,11 @@ def full_game(players, system: WeightSystem,
     for structure in sorted(structures):
         res = cutting_plane_value(WeightedProblem(
             structure=structure,
-            weights=tuple(weight_of(system, u, table) for u in structure),
+            weights=tuple(weights[u] for u in structure),
             table=table.restrict(structure)), config)
         for s in structures[structure]:
             entries[frozenset(s)] = GameEntry(
-                value=weight_of(system, s, table) * res.midpoint,
+                value=weights[tuple(sorted(set(s)))] * res.midpoint,
                 converged=res.converged and system.converged)
     return GameTable(players=n, system=system, entries=entries)
 

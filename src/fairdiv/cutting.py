@@ -19,11 +19,12 @@ For the same reason each iteration reads alpha and lambda straight off the
 simplex tableau (``tableau_solution``): rounding that the tableau gathers
 can only move them a little along the simplex, which costs at most a
 slightly worse query or bound, never a wrong one.  The basis is re-solved
-once, for the final lambda behind ``shares``.  The lambda bound is read
-as soon as a column joins the master LP, and the bracket is tested on it,
-so no query is spent once the held columns close the bracket.  It is the
-only lower bound: from the first query on, the master LP holds that value
-vector and the axis points, so it bounds at least as high as the
+for the final lambda behind ``shares`` only when the result's ``lam`` is
+first read; game values and brackets never read it.  The lambda bound is
+read as soon as a column joins the master LP, and the bracket is tested on
+it, so no query is spent once the held columns close the bracket.  It is
+the only lower bound: from the first query on, the master LP holds that
+value vector and the axis points, so it bounds at least as high as the
 closed-form diagonal bound of ``bounds.lower_bound``.  A value vector
 already held (a hashed lookup of its bytes) stalls the solve, since the
 master LP would repeat itself.
@@ -33,9 +34,10 @@ and is solved exactly by a dense simplex (``_MasterLP``).  Every solve
 starts at the closed-form optimum of the axis rows, which is dual
 feasible, and every value vector, the first included, joins as one more
 row, so one tableau lives for the whole solve and only dual-simplex pivots
-are ever made.  The dual ratio test along a row is taken on Python floats:
-with m entries, numpy's per-call dispatch would cost more than the
-comparisons.
+are ever made.  Its storage is allocated once, for ``_ROWS`` held
+columns, and doubles only past that.  The dual ratio test along a row and
+the tableau read are taken on Python floats: with m entries, numpy's
+per-call dispatch would cost more than the comparisons.
 
 Every column is a cell assignment (axis column q gives every cell to q), so
 the same lambda mix of the assignments is an achievable fractional
@@ -50,12 +52,12 @@ step rule.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .partition import WeightedProblem, maxsum_partition
+from .partition import WeightedProblem, _pairwise_sum, maxsum_partition
 from .subgradient import _EXACT_STOP_TOL, SolveResult, SolverConfig
 
 #: reduced costs, pivots, ratio ties and negative right-hand sides below this
@@ -66,6 +68,10 @@ _PIVOT_TOL = 1e-12
 #: rebuild)
 _COLD_PIVOTS = 20
 _WARM_PIVOTS = 50
+#: held columns (axis points included) the master LP's storage takes before
+#: it first doubles: above every game solve of the bundled five players, below
+#: the 69 of their pre-division pre-solve
+_ROWS = 32
 
 
 class _MasterLP:
@@ -96,13 +102,15 @@ class _MasterLP:
     def __init__(self, totals: np.ndarray, scale: float):
         m = self.m = self.n = totals.size
         self.scale, self.pivots = scale, 0
-        self._c = np.resize(np.diag(totals), (2 * m, m))
+        rows = max(_ROWS, 2 * m)
+        self._c = np.empty((rows, m))
+        self._c[:m] = np.diag(totals)
         self.columns = self._c[:m]
-        self._t = np.empty((2 * m + 1, m + 1))
-        self._row_var = np.empty(2 * m, dtype=np.intp)
+        self._t = np.empty((rows + 1, m + 1))
+        self._row_var = np.empty(rows, dtype=np.intp)
         # a new column's value per variable: c_j / scale for y_j, 0 for
         # every slack
-        self._value = np.zeros(3 * m)
+        self._value = np.zeros(m + rows)
         self._axis_start()
 
     def _axis_start(self) -> None:
@@ -188,16 +196,20 @@ class _MasterLP:
         """alpha and lambda as the tableau holds them, clipped at 0 and
         normalized onto the simplex: y_j is the right-hand side of its row
         where y_j is basic (else 0), and mu_i the row-0 entry of slack i
-        where that slack is nonbasic (else 0)."""
+        where that slack is nonbasic (else 0).  Read on Python floats; the
+        clip, the pairwise sum and the division give the bits of
+        ``np.maximum(x, 0.0)``, ``.sum()`` and ``/``, NaN included."""
         n, m = self.n, self.m
         t = self._t
-        primal = np.zeros(m + n)
-        primal[self._row_var[:n]] = t[1:n + 1, m]
-        dual = np.zeros(m + n)
-        dual[self._col_var] = t[0, :m]
-        y = np.maximum(primal[:m], 0.0)
-        mu = np.maximum(dual[m:], 0.0)
-        return y / y.sum(), mu / mu.sum()
+        y, mu = [0.0] * m, [0.0] * n
+        for var, x in zip(self._row_var[:n].tolist(), t[1:n + 1, m].tolist()):
+            if var < m:
+                y[var] = 0.0 if x <= 0.0 else x
+        for var, x in zip(self._col_var.tolist(), t[0, :m].tolist()):
+            if var >= m:
+                mu[var - m] = 0.0 if x <= 0.0 else x
+        return (np.array(y) / _pairwise_sum(y),
+                np.array(mu) / _pairwise_sum(mu))
 
     def solution(self) -> tuple[np.ndarray, np.ndarray]:
         """alpha = y / sum y and lambda = mu / sum mu, both on the simplex.
@@ -226,7 +238,8 @@ class CuttingResult(SolveResult):
     ``columns`` stacks the m axis points, then every held value vector;
     ``queries`` holds, row by row in the same order, the alpha at which the
     oracle returned each non-axis column (m floats, not its K-cell
-    assignment), and ``lam`` the master LP's final lambda over all columns.
+    assignment), and ``lam`` the master LP's final lambda over all columns,
+    re-solved from the final basis on first read and then kept.
     ``problem`` is the problem solved, whose oracle ``shares`` re-runs.
     ``stop_reason`` is why the loop stopped: ``"epsilon"`` (bracket
     narrower than epsilon), ``"exact"`` (narrower than the rounding floor
@@ -238,9 +251,14 @@ class CuttingResult(SolveResult):
     problem: WeightedProblem
     columns: np.ndarray
     queries: np.ndarray
-    lam: np.ndarray
     stop_reason: str
     pivots: int
+    _master: _MasterLP = field(repr=False, compare=False)
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        """The master LP's final lambda (``_MasterLP.solution``)."""
+        return self._master.solution()[1]
 
     @cached_property
     def shares(self) -> np.ndarray:
@@ -319,5 +337,5 @@ def cutting_plane_value(problem: WeightedProblem,
                          alpha=best.alpha, pvv=best, iterations=t,
                          converged=reason in ("epsilon", "exact"),
                          problem=problem, columns=lp.columns,
-                         queries=np.array(queries), lam=lp.solution()[1],
-                         stop_reason=reason, pivots=lp.pivots)
+                         queries=np.array(queries), stop_reason=reason,
+                         pivots=lp.pivots, _master=lp)

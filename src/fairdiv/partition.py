@@ -9,6 +9,7 @@ and a subgradient of g(alpha) = sum over cells of max_j alpha_j mu_j^w(cell).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -113,13 +114,43 @@ class PvvResult:
         return float(self.u.max() - self.u.min())
 
 
+def _pairwise_sum(xs: Sequence[float]) -> float:
+    """Sum in the order ``np.add.reduce`` takes on a contiguous float64
+    vector: one running sum below 8 entries, up to 128 entries 8 strided
+    running sums combined pairwise and then the tail, and above that the
+    sum of the two halves (the first a multiple of 8 long)."""
+    n = len(xs)
+    if n < 8:
+        total = 0.0
+        for x in xs:
+            total += x
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+    lanes = list(xs[:8])
+    body = n - n % 8
+    for i in range(8, body, 8):
+        for j in range(8):
+            lanes[j] += xs[i + j]
+    total = (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+             + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
+    for x in xs[body:]:
+        total += x
+    return total
+
+
 def _check_alpha(alpha, m: int) -> np.ndarray:
+    """alpha as a float array, checked to lie on the simplex.  Its m entries
+    are read as Python floats: numpy's per-call dispatch costs more than
+    the comparisons, and the pairwise sum equals ``a.sum()`` bit for bit."""
     a = np.asarray(alpha, dtype=float)
     if a.shape != (m,):
         raise ValueError(f"alpha must have {m} components")
-    if not a.min() >= 0.0:  # NaN fails too
+    xs = a.tolist()
+    if not all(x >= 0.0 for x in xs):  # NaN fails too
         raise ValueError("alpha components must be nonnegative")
-    if abs(a.sum() - 1.0) > SIMPLEX_TOL:
+    if abs(_pairwise_sum(xs) - 1.0) > SIMPLEX_TOL:
         raise ValueError("alpha must sum to 1")
     return a
 
@@ -134,9 +165,10 @@ def maxsum_partition(problem: WeightedProblem, alpha) -> PvvResult:
     best_values = values[0].copy()
     assignment = np.zeros(problem.grid.cell_count, dtype=np.intp)
     score = np.empty_like(best)
+    wins = np.empty(best.shape, dtype=bool)
     for j in range(1, problem.m):
         np.multiply(alpha[j], values[j], out=score)
-        wins = score > best
+        np.greater(score, best, out=wins)
         np.copyto(best, score, where=wins)
         np.copyto(best_values, values[j], where=wins)
         np.copyto(assignment, j, where=wins)

@@ -15,7 +15,7 @@ it works on m numbers, where numpy's per-call dispatch costs more than the
 arithmetic, so alpha and u are read into Python floats once per iterate for
 the spread, the clipped step and the mean-centered update, and the diagonal
 bound is evaluated on floats as well.  Sums keep numpy's pairwise order
-(``bounds._pairwise_sum``), so every iterate, bracket and trace row is
+(``partition._pairwise_sum``), so every iterate, bracket and trace row is
 bit-identical to the array formulas.  Each iterate's diagonal bound is
 evaluated once; the trace's ``vbar`` is that same number.
 """
@@ -28,8 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import _pairwise_sum, lower_bound
-from .partition import PvvResult, WeightedProblem, maxsum_partition
+from .bounds import lower_bound
+from .partition import (PvvResult, WeightedProblem, _pairwise_sum,
+                        maxsum_partition)
 
 _EXACT_STOP_TOL = 1e-12  # treat g == lb as landing on the optimum
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fairdiv import (Grid, SolverConfig, lower_bound, maxsum_partition,
                      solve_partition)
-from fairdiv.bounds import _pairwise_sum
+from fairdiv.partition import _pairwise_sum
 from fairdiv.partition import Allocation, PvvResult
 from helpers import hull_lower_bound, random_alpha, random_problem
 

@@ -406,7 +406,8 @@ def _never_solve(*args, **kwargs):
                                           ("shapley", ".")])
 def test_unwritable_out_fails_before_the_solve(tmp_path, capsys, monkeypatch,
                                                command, out):
-    for name in ("full_game", "cutting_plane_value", "pre_division_weights"):
+    for name in ("full_game", "cutting_plane_value",
+                 "pre_division_from_table"):
         monkeypatch.setattr(fairdiv.cli, name, _never_solve)
     rc = main(["--problem", BUNDLED_PROBLEM, "--command", command,
                "--out", str(tmp_path / out)])
@@ -465,7 +466,7 @@ def test_invalid_solver_setting_fails_before_any_table(capsys, monkeypatch,
     # with pre-division weights every command measures the singletons and
     # runs the pre-solve; a setting the solver rejects exits 4 before both
     for module in (fairdiv.cli, fairdiv.coalitions):
-        for name in ("coalition_table", "pre_division_weights"):
+        for name in ("coalition_table", "pre_division_from_table"):
             monkeypatch.setattr(module, name, _never_measure)
     rc = main(["--problem", BUNDLED_PROBLEM, "--command", command,
                "--weights", "pre"] + setting.split())
@@ -474,6 +475,63 @@ def test_invalid_solver_setting_fails_before_any_table(capsys, monkeypatch,
     assert captured.out == ""
     _one_line_error(captured.err)
     assert "invalid configuration" in captured.err
+
+
+@pytest.mark.parametrize("structure, tables, bracket", [
+    ([], [((0,), (1,), (2,), (3,), (4,))], "[0.999381, 1.00015]"),
+    (["--coalitions", "3,5|1|2|4"],
+     [((0,), (1,), (2,), (3,), (4,)), ((2, 4), (0,), (1,), (3,))],
+     "[0.99935, 1.00014]"),
+])
+def test_pre_weights_measure_the_singletons_once(capsys, monkeypatch,
+                                                 structure, tables, bracket):
+    # the pre-solve's singletons are the default structure's table, measured
+    # once; any other structure is measured after them
+    built = []
+    build = fairdiv.cli.coalition_table
+
+    def spy(players, subsets, grid):
+        built.append(tuple(subsets))
+        return build(players, subsets, grid)
+
+    for module in (fairdiv.cli, fairdiv.coalitions):
+        monkeypatch.setattr(module, "coalition_table", spy)
+    rc = main(["--problem", BUNDLED_PROBLEM, "--command", "solve",
+               "--weights", "pre"] + structure)
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out == bracket + "\n"
+    assert built == tables
+
+
+def _fresh_parser_run(argv) -> int:
+    """One command line through a newly built parser, as ``main`` once
+    ran every call."""
+    return fairdiv.cli.run(fairdiv.cli._parser.__wrapped__().parse_args(argv))
+
+
+def test_main_reuses_one_parser(capsys, one_player_file):
+    # calls in a row through the one parser give what a fresh parser gives,
+    # a rejected flag included, before and after a successful call
+    solve = ["--problem", one_player_file, "--command", "solve"]
+    runs = [solve,
+            ["--problem", BUNDLED_PROBLEM, "--command", "game",
+             "--subset", "3,5", "--weights", "card", "--format", "json"],
+            solve + ["--weights", "bogus"],
+            solve + ["--clip-k", "3"],
+            solve]
+
+    def outcome(call, argv):
+        try:
+            rc = call(argv)
+        except SystemExit as e:
+            rc = ("exit", e.code)
+        return rc, capsys.readouterr()
+
+    want = [outcome(_fresh_parser_run, argv) for argv in runs]
+    assert [rc for rc, _ in want] == [EXIT_OK, EXIT_OK, ("exit", 2),
+                                      EXIT_CONFIG, EXIT_OK]
+    assert [outcome(main, argv) for argv in runs] == want
+    assert fairdiv.cli._parser() is fairdiv.cli._parser()
 
 
 def test_work_budget_admits_its_largest_game(tmp_path, monkeypatch):
@@ -537,7 +595,7 @@ def test_work_budget_counts_the_rows_the_run_builds(tmp_path, monkeypatch,
 def test_work_budget_counts_the_pre_solve_singletons(tmp_path, capsys,
                                                      monkeypatch, argv):
     for module, name in ((fairdiv.cli, "coalition_table"),
-                         (fairdiv.cli, "pre_division_weights"),
+                         (fairdiv.cli, "pre_division_from_table"),
                          (fairdiv.coalitions, "coalition_table")):
         monkeypatch.setattr(module, name, _never_build)
     rc = main(["--problem", _players_file(tmp_path, 1000), "--command"]
@@ -581,12 +639,12 @@ def test_work_budget_counts_the_tables_the_run_builds(tmp_path, capsys,
 
     def counting_presolve(*args, **kwargs):
         presolves.append(args)
-        return fairdiv.pre_division_weights(*args, **kwargs)
+        return fairdiv.pre_division_from_table(*args, **kwargs)
 
     monkeypatch.setattr(fairdiv.cli, "_check_work_budget", counting_budget)
     for module in (fairdiv.cli, fairdiv.coalitions):
         monkeypatch.setattr(module, "coalition_table", counting_build)
-    monkeypatch.setattr(fairdiv.cli, "pre_division_weights",
+    monkeypatch.setattr(fairdiv.cli, "pre_division_from_table",
                         counting_presolve)
     path = tmp_path / "four.json"
     path.write_text(json.dumps({"players": [
@@ -710,14 +768,14 @@ def test_unconverged_exit_code(capsys):
 def test_game_with_unconverged_weights_still_writes(tmp_path, capsys,
                                                     monkeypatch):
     import fairdiv.cli
-    from fairdiv import SolverConfig, pre_division_weights
+    from fairdiv import SolverConfig, pre_division_from_table
 
-    def cramped_weights(players, config, grid):
-        return pre_division_weights(
-            players, config=SolverConfig(epsilon=1e-9, max_iterations=2),
-            grid=grid)
+    def cramped_weights(table, config):
+        return pre_division_from_table(
+            table, SolverConfig(epsilon=1e-9, max_iterations=2))
 
-    monkeypatch.setattr(fairdiv.cli, "pre_division_weights", cramped_weights)
+    monkeypatch.setattr(fairdiv.cli, "pre_division_from_table",
+                        cramped_weights)
     path = tmp_path / "two.json"
     path.write_text(json.dumps({
         "players": [{"density": {"kind": "beta", "a": 2, "b": 5}},
@@ -892,12 +950,11 @@ def test_pre_division_weights_use_run_grid(beta_uniform_file, capsys,
                                            monkeypatch):
     seen = []
 
-    def recording_weights(players, config, grid):
-        seen.append(grid)
-        return fairdiv.pre_division_weights(players, config=config,
-                                            grid=grid)
+    def recording_weights(table, config):
+        seen.append(table.grid)
+        return fairdiv.pre_division_from_table(table, config)
 
-    monkeypatch.setattr(fairdiv.cli, "pre_division_weights",
+    monkeypatch.setattr(fairdiv.cli, "pre_division_from_table",
                         recording_weights)
     rc = main(["--problem", beta_uniform_file, "--command", "game",
                "--weights", "pre", "--grid", "1024"])

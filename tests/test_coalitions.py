@@ -7,10 +7,11 @@ import pytest
 import fairdiv.coalitions
 from fairdiv import (DensitySpec, GameTable, Grid, SolverConfig,
                      cardinality_weights, coalition_table,
-                     cutting_plane_value, full_game, pre_division_weights,
-                     shapley, weight_of)
+                     cutting_plane_value, full_game, pre_division_from_table,
+                     pre_division_weights, shapley, weight_of)
 from fairdiv.coalitions import (PRE_DIVISION, PRE_SOLVE_CONFIG, GameEntry,
                                 WeightSystem, versus_singletons)
+from fairdiv.cutting import _MasterLP
 from helpers import shapley_by_permutations
 
 
@@ -136,6 +137,50 @@ def test_pre_solve_measures_only_the_singletons(five_players, built_tables):
     pre_division_weights(five_players)
     assert [t.coalitions for t in built_tables] == [((0,), (1,), (2,), (3,),
                                                      (4,))]
+
+
+def test_pre_solve_on_a_given_singleton_table(five_players, pre_system):
+    singletons = [(i,) for i in range(5)]
+    table = coalition_table(five_players, singletons, Grid(4096))
+    system = pre_division_from_table(table)
+    assert system.converged
+    assert system.shares.tobytes() == pre_system.shares.tobytes()
+    for rows in ([(1,), (0,), (2,), (3,), (4,)], [(0, 1), (2,), (3,), (4,)],
+                 [(1,), (2,)]):
+        with pytest.raises(ValueError, match="singletons"):
+            pre_division_from_table(coalition_table(five_players, rows,
+                                                    Grid(64)))
+
+
+def test_final_lambda_solved_only_where_read(five_players, monkeypatch):
+    # game values read each solve's bracket, never its lambda: the basis
+    # re-solve behind ``lam`` runs for the pre-solve's shares alone
+    solved = []
+    solution = _MasterLP.solution
+
+    def spy(lp):
+        solved.append(lp.n)
+        return solution(lp)
+
+    monkeypatch.setattr(_MasterLP, "solution", spy)
+    full_game(five_players, cardinality_weights())
+    assert solved == []
+    pre_division_weights(five_players)
+    assert len(solved) == 1
+
+
+def test_full_game_values_each_unit_once(five_players, all_subsets_5,
+                                         monkeypatch):
+    valued = []
+    value = fairdiv.coalitions.weight_of
+
+    def spy(system, coalition, table):
+        valued.append(tuple(coalition))
+        return value(system, coalition, table)
+
+    monkeypatch.setattr(fairdiv.coalitions, "weight_of", spy)
+    full_game(five_players, cardinality_weights())
+    assert sorted(valued) == sorted(all_subsets_5)
 
 
 def test_weights_read_off_each_game_table_match_the_full_table(

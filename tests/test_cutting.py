@@ -5,7 +5,7 @@ import pytest
 
 from fairdiv import (DensitySpec, Grid, SolverConfig, cutting_plane_value,
                      lower_bound, maxsum_partition, weighted_problem)
-from fairdiv.cutting import _MasterLP
+from fairdiv.cutting import _ROWS, _MasterLP
 from fairdiv.partition import _check_alpha
 from helpers import (cell_lp_value, master_lp_value, random_density,
                      random_problem)
@@ -201,6 +201,66 @@ def test_master_lp_is_optimal():
         _assert_master_optimal(lp)
         lp._cold()
         _assert_master_optimal(lp)
+
+
+def test_master_lp_grows_past_its_initial_storage():
+    # more held columns than ``_ROWS``: the storage doubles twice, and the
+    # warm tableau and its cold rebuild stay optimal
+    rng = np.random.default_rng(909)
+    totals = rng.uniform(0.5, 2.0, 4)
+    lp = _MasterLP(totals, totals.max())
+    start = len(lp._c)
+    for _ in range(3 * _ROWS):
+        lp.add(rng.uniform(0.0, 1.0, 4) * totals)
+    assert start == _ROWS < 2 * _ROWS < lp.n <= len(lp._c) == 4 * _ROWS
+    _assert_master_optimal(lp)
+    lp._cold()
+    _assert_master_optimal(lp)
+
+
+def _array_tableau_solution(lp):
+    """``tableau_solution`` in numpy arrays, as the float read must give
+    it bit for bit."""
+    n, m, t = lp.n, lp.m, lp._t
+    primal = np.zeros(m + n)
+    primal[lp._row_var[:n]] = t[1:n + 1, m]
+    dual = np.zeros(m + n)
+    dual[lp._col_var] = t[0, :m]
+    y = np.maximum(primal[:m], 0.0)
+    mu = np.maximum(dual[m:], 0.0)
+    return y / y.sum(), mu / mu.sum()
+
+
+def _assert_same_bits(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_tableau_read_matches_its_array_form():
+    for columns, order in _master_lp_cases():
+        lp = _MasterLP(np.diagonal(columns), columns.max())
+        for row in columns[order]:
+            lp.add(row)
+            _assert_same_bits(lp.tableau_solution(),
+                              _array_tableau_solution(lp))
+
+
+def test_tableau_read_keeps_nan_and_clips_negative_zero():
+    # at the axis start every y_j is basic in row j and every slack is
+    # nonbasic in row 0; a NaN goes through the clip, as in np.maximum,
+    # and -0.0 clips to +0.0
+    lp = _MasterLP(np.array([1.0, 2.0, 4.0]), 4.0)
+    lp._t[1, 3] = -0.0
+    lp._t[0, 1] = -0.0
+    _assert_same_bits(lp.tableau_solution(), _array_tableau_solution(lp))
+    assert not np.signbit(lp.tableau_solution()[0]).any()
+    lp._t[2, 3] = np.nan
+    lp._t[0, 2] = np.nan
+    alpha, lam = lp.tableau_solution()
+    assert np.isnan(alpha).all() and np.isnan(lam).all()
+    want = _array_tableau_solution(lp)
+    assert np.isnan(want[0]).all() and np.isnan(want[1]).all()
 
 
 def test_first_master_lp_bounds_above_the_diagonal_bound():

@@ -62,8 +62,10 @@ def test_alpha_validation(two_coalition_problem):
         maxsum_partition(two_coalition_problem, [1.2, -0.2])
     with pytest.raises(ValueError):
         maxsum_partition(two_coalition_problem, [1.0])  # wrong size
-    with pytest.raises(ValueError):
-        maxsum_partition(two_coalition_problem, [float("nan"), 1.0])
+    # a NaN in any position fails ``x >= 0``, as it fails ``a.min() >= 0``
+    for alpha in ([float("nan"), 1.0], [1.0, float("nan")]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            maxsum_partition(two_coalition_problem, alpha)
 
 
 @settings(max_examples=60, deadline=None)
