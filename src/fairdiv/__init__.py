@@ -13,8 +13,8 @@ step rule.  It computes the ``solve`` command's bracket, the game values
 the pre-division weights, which are the dual (lambda) mix of its maxsum
 partitions: an equitable partition that splits a few cells.  The paper's
 projected subgradient method (``solve_value``, ``solve_partition``) runs
-the ``partition`` and ``trace`` commands; the step rule of ``SolverConfig``
-(``--step-scale``/``--clip-k`` on the command line) applies to it only.
+the ``partition`` and ``trace`` commands with a fixed step rule: base step
+0.5/(t+1), clipped to 9/10 of the largest interior step.
 Both solvers start at the uniform alpha.
 """
 
@@ -29,7 +29,7 @@ from .partition import (Allocation, PvvResult, WeightedProblem,
                         maxsum_partition, weighted_problem)
 from .problemfile import (PlayerSpec, Problem, ProblemFormatError,
                           load_problem, save_problem)
-from .subgradient import (IterationTrace, SolveResult, SolverConfig, StepRule,
+from .subgradient import (IterationTrace, SolveResult, SolverConfig,
                           clipped_step, solve_partition, solve_value,
                           update_alpha)
 
@@ -37,7 +37,7 @@ __all__ = [
     "Allocation", "DensitySpec", "GameEntry", "GameTable", "Grid",
     "IterationTrace", "MeasureTable", "PlayerSpec", "Problem",
     "ProblemFormatError", "PvvResult", "ShapleyResult", "SolveResult",
-    "SolverConfig", "StepRule", "WeightSystem", "WeightedProblem",
+    "SolverConfig", "WeightSystem", "WeightedProblem",
     "cardinality_weights", "cell_masses", "clipped_step", "coalition_table",
     "cutting_plane_value", "density_cdf", "density_eval", "full_game",
     "load_problem", "lower_bound", "maxsum_partition", "pre_division_weights",

@@ -1,40 +1,42 @@
 """Command-line front end: problem ingestion, solves, table and trace output.
 
-Exit codes: 0 success, 2 problem-file parse error or unreadable problem
-path, 3 solver or pre-division weights did not converge (partial outputs are
-still written, flagged), 4 invalid configuration, an unwritable ``--out``, a
-run over the work budget or a problem the library rejects, 5 internal error
-(a library ``RuntimeError``: a bug, not a property of the problem).
+Exit codes: 0 success, 2 problem-file parse error, unreadable problem path
+or command-line usage error, 3 solver or pre-division weights did not
+converge (partial outputs are still written, flagged), 4 invalid
+configuration, an unwritable ``--out``, a run over the work budget or a
+problem the library rejects, 5 internal error (a library ``RuntimeError``:
+a bug, not a property of the problem).  Every error is one line on stderr,
+except a usage error (an unknown flag, a value of the wrong type, a
+``--command`` or ``--weights`` not among its choices): argparse prints the
+usage block, then one error line, and exits 2.
 
 A run is one pass through ``run``.  It checks the flags each command
-reads, ``--out`` and the solver settings (``--epsilon``, ``--max-iter``,
-``--step-scale``, ``--clip-k``), in that order.  It then resolves each
-input once: the grid, the weight systems the run computes and the
-coalitions it values (the ``--coalitions`` structure, the ``--subset``
-coalition or the full game).  The work budget is arithmetic on those: it
-bounds the largest measure table the run builds, ``MAX_TABLE_ROWS``
-coalitions and ``MAX_TABLE_BYTES`` (1 GiB) of rows x grid cells x 8 bytes.
-Only then are the weight systems built, the pre-division pre-solve among
-them, and then the structure's table or the game tables.  A run measures
-each list of coalitions once: the pre-solve's n singletons are also the
-table of the default structure.  A command only solves and formats: it
-returns its text and whether it converged; ``run`` alone writes the text,
-to ``--out`` or stdout, combines that with the weights' convergence and
-picks exit 0 or 3.
+reads, ``--out`` and the solver settings (``--epsilon``, ``--max-iter``),
+in that order.  It then resolves each input once: the grid, the weight
+systems the run computes and the coalitions it values (the
+``--coalitions`` structure, the ``--subset`` coalition or the full game).
+The work budget is arithmetic on those: it bounds the largest measure
+table the run builds, ``MAX_TABLE_ROWS`` coalitions and ``MAX_TABLE_BYTES``
+(1 GiB) of rows x grid cells x 8 bytes.  Only then are the weight systems
+built, the pre-division pre-solve among them, and then the structure's
+table or the game tables.  A run measures each list of coalitions once: the
+pre-solve's n singletons are also the table of the default structure.  A
+command only solves and formats: it returns its text and whether it
+converged; ``run`` alone writes the text, to ``--out`` or stdout, combines
+that with the weights' convergence and picks exit 0 or 3.
 
 The ``solve`` bracket, game values (``game``, ``shapley``) and pre-division
-weights (``--weights pre``) come from the cutting-plane solver, which has no
-step rule; ``--step-scale`` and ``--clip-k`` tune the paper's projected
-subgradient method behind ``partition`` and ``trace`` only, and every other
-command rejects them.  Likewise ``--subset`` (one coalition against the
-other players alone) applies to ``game`` only and ``--coalitions`` to
-``solve``, ``partition`` and ``trace`` only; ``FLAG_COMMANDS`` lists them
-all.  ``--max-iter`` caps every solve of a run, the Kelley iterations of the
-pre-division pre-solve included.  The pre-solve measures only the
-singletons, on the run's grid, and each pre-division weight is read off the
-table its solve or game uses.  ``--weights``, else the file's ``"card"`` or
-``"pre"``, picks the weight system; ``game`` and ``shapley`` compute both
-when neither names one.
+weights (``--weights pre``) come from the cutting-plane solver; the paper's
+projected subgradient method, with its fixed step rule, runs ``partition``
+and ``trace``.  ``--subset`` (one coalition against the other players
+alone) applies to ``game`` only and ``--coalitions`` to ``solve``,
+``partition`` and ``trace`` only; every other command rejects them, as
+``FLAG_COMMANDS`` lists.  ``--max-iter`` caps every solve of a run, the
+Kelley iterations of the pre-division pre-solve included.  The pre-solve
+measures only the singletons, on the run's grid, and each pre-division
+weight is read off the table its solve or game uses.  ``--weights``, else
+the file's ``"card"`` or ``"pre"``, picks the weight system; ``game`` and
+``shapley`` compute both when neither names one.
 
 ``solve`` prints one bracket line, ``[lb, ub]``, and rejects ``--format
 json``.  Every table (``partition`` cells, ``game``, ``shapley`` and the
@@ -78,13 +80,10 @@ EXIT_INTERNAL = 5
 COMMANDS = ("solve", "partition", "game", "shapley", "trace")
 GAME_COMMANDS = ("game", "shapley")
 #: flags that only some commands read, and those commands; every other
-#: command rejects them.  The step-rule flags tune the paper's projected
-#: subgradient method, which only partition and trace run.
+#: command rejects them
 FLAG_COMMANDS = {
     "--subset": ("game",),
     "--coalitions": ("solve", "partition", "trace"),
-    "--step-scale": ("partition", "trace"),
-    "--clip-k": ("partition", "trace"),
 }
 
 
@@ -117,10 +116,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, help="stop tolerance")
     p.add_argument("--grid", type=int, dest="grid_cells", metavar="GRID",
                    help="grid cells override")
-    p.add_argument("--step-scale", type=float,
-                   help="base step scale (partition, trace)")
-    p.add_argument("--clip-k", type=int,
-                   help="interiority clip constant (partition, trace)")
     p.add_argument("--max-iter", type=int, help="iteration cap")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv",
@@ -165,7 +160,7 @@ def _check_flags(spec: Namespace) -> None:
     """Reject a flag that the command would ignore, and ``--format json``
     for ``solve``, which prints one bracket line and no table."""
     for flag, commands in FLAG_COMMANDS.items():
-        given = getattr(spec, flag[2:].replace("-", "_")) is not None
+        given = getattr(spec, flag[2:]) is not None
         if given and spec.command not in commands:
             names = ", ".join(commands[:-1])
             names = f"{names} and {commands[-1]}" if names else commands[-1]
@@ -176,13 +171,9 @@ def _check_flags(spec: Namespace) -> None:
 
 
 def _solver_config(spec: Namespace) -> SolverConfig:
-    base = SolverConfig()
     try:
-        rule = replace(base.step_rule, **_given(scale=spec.step_scale,
-                                                clip=spec.clip_k))
-        return replace(base, step_rule=rule,
-                       **_given(epsilon=spec.epsilon,
-                                max_iterations=spec.max_iter))
+        return SolverConfig(**_given(epsilon=spec.epsilon,
+                                     max_iterations=spec.max_iter))
     except ValueError as e:
         raise ConfigError(str(e)) from None
 

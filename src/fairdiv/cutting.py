@@ -45,8 +45,7 @@ partition whose value vector is lambda C; at the optimum it is equitable.
 This is the LP-duality form of the paper's statement that the competitive
 optimum is a convex combination of maxsum partitions (``shares``).
 
-Unlike the projected subgradient method, nothing here is tuned: there is no
-step rule.
+There is no step rule: the master LP picks each query point.
 """
 
 from __future__ import annotations
@@ -291,10 +290,9 @@ def cutting_plane_value(problem: WeightedProblem,
     exactly (converged), when the oracle returns a value vector already held
     (the master LP would repeat itself; not converged), or after
     ``config.max_iterations`` master-LP iterations (not converged); the
-    result's ``stop_reason`` says which.  The step rule and
-    ``record_trace`` of ``config`` are not used.  The result carries the
-    query point with the smallest g, and the held columns with their
-    queries and lambda-mix ``shares``.
+    result's ``stop_reason`` says which.  ``config.record_trace`` is not
+    used.  The result carries the query point with the smallest g, and the
+    held columns with their queries and lambda-mix ``shares``.
     """
     totals = problem.totals
     pvv = maxsum_partition(problem, np.full(problem.m, 1.0 / problem.m))

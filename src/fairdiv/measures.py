@@ -271,11 +271,6 @@ class MeasureTable:
     def mass_row(self, coalition) -> np.ndarray:
         return self.masses[self.row_index(coalition)]
 
-    @cached_property
-    def totals(self) -> np.ndarray:
-        """Whole-cake value per coalition row."""
-        return self.masses.sum(axis=1)
-
     def restrict(self, coalitions) -> "MeasureTable":
         """Sub-table with rows for the given coalitions, in the given order."""
         rows = [self.row_index(c) for c in coalitions]

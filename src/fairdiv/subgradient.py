@@ -1,10 +1,12 @@
 """Projected subgradient solver for the weighted maxmin value.
 
 The maxmin value is the minimum over the unit simplex of the convex function
-g, whose subgradient at alpha is the maxsum value vector u.  Steps follow a
-diminishing rule clipped so that iterates stay strictly inside the simplex;
-the mean-centered update then keeps the coordinate sum at one without any
-general projection.
+g, whose subgradient at alpha is the maxsum value vector u.  Steps follow the
+paper's diminishing rule clipped so that iterates stay strictly inside the
+simplex; the mean-centered update then keeps the coordinate sum at one
+without any general projection.  The rule's two constants are fixed: no
+scale or clip setting was found that makes a capped run converge where
+they do not.
 
 Two stopping modes: bracket mode stops once the certified bounds pinch to
 epsilon; equitable mode stops once the value vector coordinates agree to
@@ -33,35 +35,17 @@ from .partition import (PvvResult, WeightedProblem, _pairwise_sum,
                         maxsum_partition)
 
 _EXACT_STOP_TOL = 1e-12  # treat g == lb as landing on the optimum
-
-
-@dataclass(frozen=True)
-class StepRule:
-    """Diminishing base step with interiority clipping.
-
-    The base step scale/(t+1) vanishes while its series diverges.  ``clip``
-    is the safety margin constant: steps shrink to (clip-1)/clip of the
-    largest interior-safe step.
-    """
-
-    scale: float = 0.5
-    clip: int = 10
-
-    def __post_init__(self):
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError("step scale must be finite and positive")
-        if self.clip < 2:
-            raise ValueError("clip constant must be an integer >= 2")
-
-    def base(self, t: int) -> float:
-        return self.scale / (t + 1)
+#: the paper's step rule: the base step _STEP_SCALE/(t+1) vanishes while its
+#: series diverges, and a step shrinks to (_CLIP-1)/_CLIP of the largest
+#: step that keeps the iterate interior
+_STEP_SCALE = 0.5
+_CLIP = 10
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     epsilon: float = 1e-3
     max_iterations: int = 50_000
-    step_rule: StepRule = StepRule()
     record_trace: bool = False
 
     def __post_init__(self):
@@ -71,19 +55,18 @@ class SolverConfig:
             raise ValueError("max_iterations must be positive")
 
 
-def clipped_step(t: int, alpha: Sequence[float], u: Sequence[float],
-                 rule: StepRule) -> float:
+def clipped_step(t: int, alpha: Sequence[float], u: Sequence[float]) -> float:
     """Base step at t, shrunk so the next iterate stays strictly interior.
 
     Only coordinates with u_i above the mean pull alpha toward the boundary;
     if there are none the base step is already safe.
     """
-    s = rule.base(t)
+    s = _STEP_SCALE / (t + 1)
     ubar = _pairwise_sum(u) / len(u)
     ratios = [a / (x - ubar) for a, x in zip(alpha, u) if x > ubar]
     if not ratios:
         return s
-    return min(s, (rule.clip - 1) / rule.clip * min(ratios))
+    return min(s, (_CLIP - 1) / _CLIP * min(ratios))
 
 
 def update_alpha(alpha: Sequence[float], u: Sequence[float],
@@ -149,7 +132,6 @@ class SolveResult:
 
 def _solve(problem: WeightedProblem, config: SolverConfig,
            equitable: bool) -> SolveResult:
-    rule = config.step_rule
     totals = problem.totals
     alpha = np.full(problem.m, 1.0 / problem.m)
     ub, lb = math.inf, -math.inf
@@ -171,7 +153,7 @@ def _solve(problem: WeightedProblem, config: SolverConfig,
         else:
             done = (ub - lb < config.epsilon
                     or pvv.g_value - lb < _EXACT_STOP_TOL)
-        step = clipped_step(t, a, u, rule)
+        step = clipped_step(t, a, u)
         if trace is not None:
             trace.append(t, ub, lb, pvv.g_value, vbar, step, pvv.alpha,
                          pvv.u)

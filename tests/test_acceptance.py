@@ -80,7 +80,7 @@ def test_criterion_1_competitive_value(competitive_problem):
 
 
 def test_criterion_2_grand_coalition_mass(table_4096):
-    grand = float(table_4096.totals[table_4096.row_index(range(5))])
+    grand = float(table_4096.mass_row(range(5)).sum())
     ok = abs(grand - 2.477) <= 2e-3
     report("criterion 2", ok, f"mu_N(C) = {grand:.6f} vs reference 2.477")
 

@@ -12,8 +12,9 @@ import pytest
 import fairdiv
 import fairdiv.coalitions
 
-from fairdiv.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, EXIT_PARSE,
-                         EXIT_UNCONVERGED, fmt_bound, fmt_num, main)
+from fairdiv.cli import (COMMANDS, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
+                         EXIT_PARSE, EXIT_UNCONVERGED, fmt_bound, fmt_num,
+                         main)
 from fairdiv.problemfile import MAX_GRID_CELLS
 from conftest import BUNDLED_PROBLEM
 
@@ -455,12 +456,9 @@ def _never_measure(*args, **kwargs):
 
 
 @pytest.mark.parametrize("command, setting", [
-    *[(command, setting)
-      for command in ("solve", "partition", "trace", "game", "shapley")
-      for setting in ("--epsilon -1", "--epsilon nan", "--max-iter 0")],
-    *[(command, setting) for command in ("partition", "trace")
-      for setting in ("--step-scale 0", "--clip-k 1")],
-])
+    (command, setting)
+    for command in ("solve", "partition", "trace", "game", "shapley")
+    for setting in ("--epsilon -1", "--epsilon nan", "--max-iter 0")])
 def test_invalid_solver_setting_fails_before_any_table(capsys, monkeypatch,
                                                        command, setting):
     # with pre-division weights every command measures the singletons and
@@ -517,7 +515,7 @@ def test_main_reuses_one_parser(capsys, one_player_file):
             ["--problem", BUNDLED_PROBLEM, "--command", "game",
              "--subset", "3,5", "--weights", "card", "--format", "json"],
             solve + ["--weights", "bogus"],
-            solve + ["--clip-k", "3"],
+            solve + ["--subset", "3,5"],
             solve]
 
     def outcome(call, argv):
@@ -692,8 +690,7 @@ def test_invalid_epsilon_exit_code(one_player_file, capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command,flag", [("solve", "--epsilon"),
-                                          ("trace", "--step-scale")])
+@pytest.mark.parametrize("command,flag", [("solve", "--epsilon")])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_solver_value_exit_code(one_player_file, capsys, command,
                                            flag, value):
@@ -801,8 +798,7 @@ def test_solver_override_flags(capsys):
     # the bracket floor scales with cell width, so the grid must stay fine
     # enough for the requested epsilon
     rc = main(["--problem", BUNDLED_PROBLEM, "--command", "trace",
-               "--grid", "2048", "--step-scale", "0.3", "--clip-k", "5",
-               "--max-iter", "20000", "--epsilon", "5e-3"])
+               "--grid", "2048", "--max-iter", "20000", "--epsilon", "5e-3"])
     assert rc == EXIT_OK
     last = capsys.readouterr().out.splitlines()[-1].split(",")
     ub, lb = float(last[1]), float(last[2])
@@ -841,12 +837,6 @@ def test_oversized_grid_in_file_exit_code(tmp_path, capsys):
     assert "grid_cells" in capsys.readouterr().err
 
 
-def test_invalid_clip_k_exit_code(one_player_file, capsys):
-    rc = main(["--problem", one_player_file, "--command", "trace",
-               "--clip-k", "1"])
-    assert rc == EXIT_CONFIG
-
-
 def test_problem_file_weights_list(tmp_path, capsys):
     path = tmp_path / "weighted.json"
     path.write_text(json.dumps({
@@ -880,15 +870,25 @@ def beta_uniform_file(tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("command", ["solve", "game", "shapley"])
-@pytest.mark.parametrize("flag", [["--step-scale", "0.3"], ["--clip-k", "5"]])
-def test_step_flags_rejected_for_kelley_commands(disjoint_file, capsys,
-                                                 command, flag):
-    rc = main(["--problem", disjoint_file, "--command", command,
-               "--weights", "card"] + flag)
-    assert rc == EXIT_CONFIG
-    assert (f"{flag[0]} applies only to partition and trace"
-            in capsys.readouterr().err)
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("argv, message", [
+    (["--step-scale", "0.3"], "unrecognized arguments: --step-scale 0.3"),
+    (["--clip-k", "5"], "unrecognized arguments: --clip-k 5"),
+    (["--epsilon", "abc"], "argument --epsilon: invalid float value: 'abc'"),
+    (["--command", "bogus"], "argument --command: invalid choice: 'bogus'"),
+])
+def test_usage_errors_exit_2(disjoint_file, capsys, command, argv, message):
+    # the step rule is fixed, so its old flags are unknown like any other; a
+    # usage error prints the usage block and one error line, and exits 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--problem", disjoint_file, "--command", command] + argv)
+    assert exc.value.code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: fairdiv ")
+    assert captured.err.splitlines()[-1].startswith(
+        f"fairdiv: error: {message}")
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("command, flag, commands", [

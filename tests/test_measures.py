@@ -139,8 +139,7 @@ def test_coalition_mass_superadditive(five_players, table_4096):
 
 
 def test_coalition_value_monotone(table_4096):
-    totals = {s: table_4096.totals[i]
-              for i, s in enumerate(table_4096.coalitions)}
+    totals = dict(zip(table_4096.coalitions, table_4096.masses.sum(axis=1)))
     for s, vs in totals.items():
         for t, vt in totals.items():
             if set(s) <= set(t):
@@ -148,18 +147,19 @@ def test_coalition_value_monotone(table_4096):
 
 
 def test_coalition_value_in_range(table_4096):
-    for i, s in enumerate(table_4096.coalitions):
-        assert 1.0 - 1e-9 <= table_4096.totals[i] <= len(s) + 1e-9
+    for s, total in zip(table_4096.coalitions, table_4096.masses.sum(axis=1)):
+        assert 1.0 - 1e-9 <= total <= len(s) + 1e-9
 
 
 def test_grand_coalition_mass(table_4096):
-    grand = table_4096.totals[table_4096.row_index(range(5))]
+    grand = table_4096.mass_row(range(5)).sum()
     assert grand == pytest.approx(2.477, abs=2e-3)
 
 
 def test_refinement_stability(five_players, all_subsets_5, table_4096):
     finer = coalition_table(five_players, all_subsets_5, Grid(8192))
-    assert np.max(np.abs(finer.totals - table_4096.totals)) < 1e-4
+    assert np.max(np.abs(finer.masses.sum(axis=1)
+                         - table_4096.masses.sum(axis=1))) < 1e-4
 
 
 def test_restrict_preserves_rows(table_4096):

@@ -1,52 +1,34 @@
 import numpy as np
 import pytest
 
-from fairdiv import (DensitySpec, Grid, SolverConfig, StepRule, clipped_step,
+from fairdiv import (DensitySpec, Grid, SolverConfig, clipped_step,
                      lower_bound, maxsum_partition, solve_partition,
                      solve_value, update_alpha, weighted_problem)
 from helpers import golden_section_min, random_problem
 
 
-def test_step_rule_sequences():
-    rule = StepRule(scale=2.0)
-    assert rule.base(0) == 2.0
-    assert rule.base(3) == 0.5
-
-
-@pytest.mark.parametrize("kwargs", [
-    dict(scale=0.0),
-    dict(scale=-1.0),
-    dict(scale=float("nan")),
-    dict(scale=float("inf")),
-    dict(clip=1),
-])
-def test_step_rule_validation(kwargs):
-    with pytest.raises(ValueError):
-        StepRule(**kwargs)
-
-
 def test_clipped_step_no_active_constraint():
-    rule = StepRule(scale=10.0, clip=2)
+    # equal u pull no coordinate toward the boundary: the base step 0.5/(t+1)
     alpha = np.array([0.5, 0.5])
     u = np.array([0.3, 0.3])
-    assert clipped_step(0, alpha, u, rule) == 10.0
+    assert clipped_step(0, alpha, u) == 0.5
+    assert clipped_step(3, alpha, u) == 0.125
 
 
 def test_clipped_step_hand_example():
-    # tau = (1/2) * 2*0.5 / (1*1 - 0) = 0.5, below the base step of 10
-    rule = StepRule(scale=10.0, clip=2)
-    s = clipped_step(0, np.array([0.5, 0.5]), np.array([1.0, 0.0]), rule)
-    assert s == pytest.approx(0.5, abs=1e-15)
+    # ubar = 0.5 and only u_1 is above it: tau = 0.9 * 0.1 / (1 - 0.5) = 0.18,
+    # below the base step of 0.5
+    s = clipped_step(0, np.array([0.1, 0.9]), np.array([1.0, 0.0]))
+    assert s == pytest.approx(0.18, abs=1e-15)
 
 
 def test_clipped_step_keeps_iterates_interior():
     rng = np.random.default_rng(17)
-    rule = StepRule(scale=5.0, clip=3)
     for t in range(50):
         m = int(rng.integers(2, 6))
         alpha = rng.dirichlet(np.ones(m)) * 0.98 + 0.02 / m
         u = rng.uniform(0.0, 1.0, size=m)
-        s = clipped_step(t, alpha, u, rule)
+        s = clipped_step(t, alpha, u)
         assert s > 0.0
         assert np.all(alpha - s * (u - u.mean()) > 0.0)
 
@@ -64,12 +46,11 @@ def test_update_alpha_hand_example():
 
 def test_update_alpha_preserves_sum():
     rng = np.random.default_rng(23)
-    rule = StepRule()
     for t in range(100):
         m = int(rng.integers(2, 6))
         alpha = rng.dirichlet(np.ones(m)) * 0.9 + 0.1 / m
         u = rng.uniform(0.0, 1.0, size=m)
-        out = update_alpha(alpha, u, clipped_step(t, alpha, u, rule))
+        out = update_alpha(alpha, u, clipped_step(t, alpha, u))
         assert abs(out.sum() - 1.0) <= 1e-12
         assert np.all(out > 0.0)
 
@@ -220,15 +201,15 @@ def test_unconverged_run_is_flagged(competitive_problem):
     assert res.lower <= res.upper
 
 
-def _numpy_clipped_step(t, alpha, u, rule):
-    """The clipped step as numpy array arithmetic, for bitwise comparison."""
-    s = rule.base(t)
+def _numpy_clipped_step(t, alpha, u):
+    """The paper's clipped step, base 0.5/(t+1) and clip factor 0.9, as numpy
+    array arithmetic, for bitwise comparison."""
+    s = 0.5 / (t + 1)
     ubar = u.mean()
     above = u > ubar
     if not above.any():
         return s
-    tau = (rule.clip - 1) / rule.clip * np.min(
-        alpha[above] / (u[above] - ubar))
+    tau = 0.9 * np.min(alpha[above] / (u[above] - ubar))
     return min(s, float(tau))
 
 
@@ -252,14 +233,12 @@ def test_step_and_update_match_numpy_formulas_bitwise():
     rng = np.random.default_rng(43)
     for m in range(1, 13):
         for trial in range(100):
-            rule = StepRule(scale=float(rng.uniform(0.01, 5.0)),
-                            clip=int(rng.integers(2, 20)))
             t = int(rng.integers(0, 1000))
             alpha = rng.dirichlet(np.ones(m)) * 0.98 + 0.02 / m
             for u in _step_cases(rng, m):
-                want = _numpy_clipped_step(t, alpha, u, rule)
+                want = _numpy_clipped_step(t, alpha, u)
                 for a, v in ((alpha, u), (alpha.tolist(), u.tolist())):
-                    s = clipped_step(t, a, v, rule)
+                    s = clipped_step(t, a, v)
                     assert s == want, (m, trial)
                     out = update_alpha(a, v, s)
                     np.testing.assert_array_equal(
