@@ -29,15 +29,14 @@ from .partition import (Allocation, PvvResult, WeightedProblem,
                         maxsum_partition, weighted_problem)
 from .problemfile import (PlayerSpec, Problem, ProblemFormatError,
                           load_problem, save_problem)
-from .subgradient import (IterationTrace, SolveResult, SolverConfig,
-                          clipped_step, solve_partition, solve_value,
-                          update_alpha)
+from .subgradient import (SolveResult, SolverConfig, TraceRow, clipped_step,
+                          solve_partition, solve_value, update_alpha)
 
 __all__ = [
     "Allocation", "DensitySpec", "GameEntry", "GameTable", "Grid",
-    "IterationTrace", "MeasureTable", "PlayerSpec", "Problem",
-    "ProblemFormatError", "PvvResult", "ShapleyResult", "SolveResult",
-    "SolverConfig", "WeightSystem", "WeightedProblem",
+    "MeasureTable", "PlayerSpec", "Problem", "ProblemFormatError",
+    "PvvResult", "ShapleyResult", "SolveResult", "SolverConfig", "TraceRow",
+    "WeightSystem", "WeightedProblem",
     "cardinality_weights", "cell_masses", "clipped_step", "coalition_table",
     "cutting_plane_value", "density_cdf", "density_eval", "full_game",
     "load_problem", "lower_bound", "maxsum_partition", "pre_division_weights",

@@ -19,8 +19,11 @@ The work budget is arithmetic on those: it bounds the largest measure
 table the run builds, ``MAX_TABLE_ROWS`` coalitions and ``MAX_TABLE_BYTES``
 (1 GiB) of rows x grid cells x 8 bytes.  Only then are the weight systems
 built, the pre-division pre-solve among them, and then the structure's
-table or the game tables.  A run measures each list of coalitions once: the
-pre-solve's n singletons are also the table of the default structure.  A
+table or the game tables.  ``solve``, ``partition`` and ``trace`` measure
+each list of coalitions once: the pre-solve's n singletons are also the
+table of the default structure.  ``game`` and ``shapley`` do not: each
+``full_game`` call measures its own table, so the full game under both
+weight systems measures the n singletons and then every coalition twice.  A
 command only solves and formats: it returns its text and whether it
 converged; ``run`` alone writes the text, to ``--out`` or stdout, combines
 that with the weights' convergence and picks exit 0 or 3.
@@ -255,7 +258,7 @@ def _structure_problem(problem: Problem, structure, tables,
     table = tables(structure)
     if system is not None:
         weights = tuple(weight_of(system, s, table) for s in structure)
-    return WeightedProblem(structure=structure, weights=weights, table=table)
+    return WeightedProblem(table, weights)
 
 
 def fmt_num(x: float) -> str:
@@ -353,7 +356,7 @@ def _cmd_solve(spec: Namespace, wp: WeightedProblem,
 def _cmd_partition(spec: Namespace, wp: WeightedProblem,
                    config: SolverConfig) -> tuple[str, bool]:
     res = solve_partition(wp, config)
-    alloc = res.allocation
+    alloc = res.pvv.allocation
     if spec.out_format == "json":
         labeled = {
             _coalition_label(wp.structure[j]): [[a, b] for a, b in spans]
@@ -396,15 +399,12 @@ def _cmd_shapley(spec: Namespace,
 def _cmd_trace(spec: Namespace, wp: WeightedProblem,
                config: SolverConfig) -> tuple[str, bool]:
     res = solve_value(wp, replace(config, record_trace=True))
-    tr = res.trace
     keys = (["t", "ub", "lb", "g", "vbar", "step"]
             + [f"alpha_{j + 1}" for j in range(wp.m)]
             + [f"u_{j + 1}" for j in range(wp.m)])
     return (_records_text(spec, [
-        dict(zip(keys, (t, ub, lb, g, vbar, step, *alpha.tolist(),
-                        *u.tolist())))
-        for t, ub, lb, g, vbar, step, alpha, u in zip(
-            tr.t, tr.ub, tr.lb, tr.g, tr.vbar, tr.step, tr.alpha, tr.u)],
+        dict(zip(keys, (*row[:6], *row.alpha.tolist(), *row.u.tolist())))
+        for row in res.trace],
         outward={"lb": ROUND_FLOOR, "ub": ROUND_CEILING}),
         res.converged)
 

@@ -46,7 +46,8 @@ def default_game_config(epsilon: float = 1e-3) -> SolverConfig:
 
 @dataclass(frozen=True)
 class WeightSystem:
-    """Coalition weight function.
+    """Coalition weight function: cardinality weights when ``shares`` is
+    None, else pre-division weights.
 
     A pre-division system keeps its competitive pre-solve's fractional
     partition: ``shares[i, k]`` is player i's share of cell k.  ``weight_of``
@@ -56,19 +57,16 @@ class WeightSystem:
     are flagged, never silently trusted.
     """
 
-    kind: str
     shares: np.ndarray | None = None
     converged: bool = True
 
-    def __post_init__(self):
-        if self.kind not in (CARDINALITY, PRE_DIVISION):
-            raise ValueError(f"unknown weight system {self.kind!r}")
-        if self.kind == PRE_DIVISION and self.shares is None:
-            raise ValueError("pre-division weights need the pre-solve shares")
+    @property
+    def kind(self) -> str:
+        return CARDINALITY if self.shares is None else PRE_DIVISION
 
 
 def cardinality_weights() -> WeightSystem:
-    return WeightSystem(kind=CARDINALITY)
+    return WeightSystem()
 
 
 def weight_of(system: WeightSystem, coalition, table: MeasureTable) -> float:
@@ -79,7 +77,7 @@ def weight_of(system: WeightSystem, coalition, table: MeasureTable) -> float:
     s = sorted(set(coalition))
     if not s:
         raise ValueError("empty coalition has no weight")
-    if system.kind == CARDINALITY:
+    if system.shares is None:
         return float(len(s))
     if table.grid.cell_count != system.shares.shape[1]:
         raise ValueError("pre-division weights and the table are on "
@@ -119,10 +117,8 @@ def pre_division_from_table(table: MeasureTable,
     if table.coalitions != singletons:
         raise ValueError("the pre-solve table must hold the singletons, "
                          "in order")
-    res = cutting_plane_value(WeightedProblem(
-        structure=singletons, weights=(1.0,) * n, table=table), config)
-    return WeightSystem(kind=PRE_DIVISION, shares=res.shares,
-                        converged=res.converged)
+    res = cutting_plane_value(WeightedProblem(table, (1.0,) * n), config)
+    return WeightSystem(shares=res.shares, converged=res.converged)
 
 
 def _nonempty_subsets(n: int) -> list[tuple[int, ...]]:
@@ -191,9 +187,8 @@ def full_game(players, system: WeightSystem,
     entries = dict.fromkeys(frozenset(s) for s in subsets)
     for structure in sorted(structures):
         res = cutting_plane_value(WeightedProblem(
-            structure=structure,
-            weights=tuple(weights[u] for u in structure),
-            table=table.restrict(structure)), config)
+            table.restrict(structure),
+            tuple(weights[u] for u in structure)), config)
         for s in structures[structure]:
             entries[frozenset(s)] = GameEntry(
                 value=weights[tuple(sorted(set(s)))] * res.midpoint,

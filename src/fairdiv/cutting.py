@@ -332,7 +332,7 @@ def cutting_plane_value(problem: WeightedProblem,
     # on an exact pinch (always so for m == 1) g and the bound sum the same
     # cells in different orders and may differ in the last bit
     return CuttingResult(lower=min(lb, best.g_value), upper=best.g_value,
-                         alpha=best.alpha, pvv=best, iterations=t,
+                         pvv=best, iterations=t,
                          converged=reason in ("epsilon", "exact"),
                          problem=problem, columns=lp.columns,
                          queries=np.array(queries), stop_reason=reason,

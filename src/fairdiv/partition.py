@@ -9,6 +9,7 @@ and a subgradient of g(alpha) = sum over cells of max_j alpha_j mu_j^w(cell).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,30 +26,32 @@ SIMPLEX_TOL = 1e-12
 class WeightedProblem:
     """A coalition structure with weights over a shared measure table.
 
-    ``structure`` lists m pairwise-disjoint coalitions (sorted tuples of
-    0-based player ids); ``table`` rows are aligned with it.  Cell values
-    are the table's exact masses over the weights, and the totals below sum
-    them, so both are exactly consistent with g evaluations.
+    The structure is the table's rows (``table.coalitions``): m
+    pairwise-disjoint coalitions, each a sorted tuple of 0-based player
+    ids, and ``weights`` holds one finite positive weight per row.  Cell
+    values are the table's exact masses over the weights, and the totals
+    below sum them, so both are exactly consistent with g evaluations.
     """
 
-    structure: tuple[tuple[int, ...], ...]
-    weights: tuple[float, ...]
     table: MeasureTable
+    weights: tuple[float, ...]
 
     def __post_init__(self):
         if len(self.structure) < 1:
             raise ValueError("need at least one coalition")
         if len(self.weights) != len(self.structure):
             raise ValueError("one weight per coalition required")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be strictly positive")
+        if not all(0.0 < w < math.inf for w in self.weights):  # NaN fails too
+            raise ValueError("weights must be finite and strictly positive")
         seen: set[int] = set()
         for s in self.structure:
             if seen & set(s):
                 raise ValueError("coalitions must be pairwise disjoint")
             seen |= set(s)
-        if self.table.coalitions != self.structure:
-            raise ValueError("table rows must match the coalition structure")
+
+    @property
+    def structure(self) -> tuple[tuple[int, ...], ...]:
+        return self.table.coalitions
 
     @property
     def m(self) -> int:
@@ -72,11 +75,8 @@ class WeightedProblem:
 
 def weighted_problem(players, structure, weights, grid: Grid) -> WeightedProblem:
     """Convenience builder: measure the coalitions, then wrap them up."""
-    structure = tuple(tuple(sorted(set(s))) for s in structure)
-    table = coalition_table(players, structure, grid)
-    return WeightedProblem(structure=structure,
-                           weights=tuple(float(w) for w in weights),
-                           table=table)
+    return WeightedProblem(coalition_table(players, structure, grid),
+                           tuple(float(w) for w in weights))
 
 
 @dataclass(frozen=True)

@@ -19,14 +19,16 @@ the spread, the clipped step and the mean-centered update, and the diagonal
 bound is evaluated on floats as well.  Sums keep numpy's pairwise order
 (``partition._pairwise_sum``), so every iterate, bracket and trace row is
 bit-identical to the array formulas.  Each iterate's diagonal bound is
-evaluated once; the trace's ``vbar`` is that same number.
+evaluated once; with ``record_trace`` set, the result's ``trace`` holds one
+``TraceRow`` per iterate, whose ``vbar`` is that same number.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,46 +82,33 @@ def update_alpha(alpha: Sequence[float], u: Sequence[float],
     return np.array([a / total for a in out])
 
 
-@dataclass
-class IterationTrace:
-    """Per-iterate history: state at t plus the step chosen at t."""
+class TraceRow(NamedTuple):
+    """One iterate of a recorded solve: the state at t (the bracket so far,
+    g and the diagonal bound vbar at alpha, the value vector u) and the
+    step chosen at t."""
 
-    t: list[int] = field(default_factory=list)
-    ub: list[float] = field(default_factory=list)
-    lb: list[float] = field(default_factory=list)
-    g: list[float] = field(default_factory=list)
-    vbar: list[float] = field(default_factory=list)
-    step: list[float] = field(default_factory=list)
-    alpha: list[np.ndarray] = field(default_factory=list)
-    u: list[np.ndarray] = field(default_factory=list)
-
-    def append(self, t, ub, lb, g, vbar, step, alpha, u):
-        self.t.append(t)
-        self.ub.append(ub)
-        self.lb.append(lb)
-        self.g.append(g)
-        self.vbar.append(vbar)
-        self.step.append(step)
-        self.alpha.append(alpha)
-        self.u.append(u)
-
-    def __len__(self) -> int:
-        return len(self.t)
+    t: int
+    ub: float
+    lb: float
+    g: float
+    vbar: float
+    step: float
+    alpha: np.ndarray
+    u: np.ndarray
 
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A certified bracket [lower, upper] and the maxsum partition returned
+    (``pvv``: its alpha, allocation and value vector).  ``trace`` holds one
+    row per iterate when ``record_trace`` is set."""
+
     lower: float
     upper: float
-    alpha: np.ndarray
     pvv: PvvResult
     iterations: int
     converged: bool
-    trace: IterationTrace | None = None
-
-    @property
-    def allocation(self):
-        return self.pvv.allocation
+    trace: list[TraceRow] | None = None
 
     @property
     def midpoint(self) -> float:
@@ -136,7 +125,7 @@ def _solve(problem: WeightedProblem, config: SolverConfig,
     alpha = np.full(problem.m, 1.0 / problem.m)
     ub, lb = math.inf, -math.inf
     best_pvv, best_spread = None, math.inf
-    trace = IterationTrace() if config.record_trace else None
+    trace = [] if config.record_trace else None
 
     t = 0
     while True:
@@ -155,8 +144,8 @@ def _solve(problem: WeightedProblem, config: SolverConfig,
                     or pvv.g_value - lb < _EXACT_STOP_TOL)
         step = clipped_step(t, a, u)
         if trace is not None:
-            trace.append(t, ub, lb, pvv.g_value, vbar, step, pvv.alpha,
-                         pvv.u)
+            trace.append(TraceRow(t, ub, lb, pvv.g_value, vbar, step,
+                                  pvv.alpha, pvv.u))
         if done or t >= config.max_iterations:
             break
         alpha = update_alpha(a, u, step)
@@ -168,8 +157,8 @@ def _solve(problem: WeightedProblem, config: SolverConfig,
     else:
         ret = pvv
         converged = done
-    return SolveResult(lower=lb, upper=ub, alpha=ret.alpha, pvv=ret,
-                       iterations=t, converged=converged, trace=trace)
+    return SolveResult(lower=lb, upper=ub, pvv=ret, iterations=t,
+                       converged=converged, trace=trace)
 
 
 def solve_value(problem: WeightedProblem,

@@ -189,11 +189,11 @@ def test_criterion_6d_trace_invariants():
                               record_trace=True)
         solve = solve_value if i % 2 == 0 else solve_partition
         tr = solve(problem, config).trace
-        ok &= bool(np.all(np.diff(tr.ub) <= 1e-15))
-        ok &= bool(np.all(np.diff(tr.lb) >= -1e-15))
-        ok &= all(lb <= ub + 1e-12 for lb, ub in zip(tr.lb, tr.ub))
-        ok &= all(np.all(a > 0) and abs(a.sum() - 1) <= 1e-12
-                  for a in tr.alpha)
+        ok &= bool(np.all(np.diff([row.ub for row in tr]) <= 1e-15))
+        ok &= bool(np.all(np.diff([row.lb for row in tr]) >= -1e-15))
+        ok &= all(row.lb <= row.ub + 1e-12 for row in tr)
+        ok &= all(np.all(row.alpha > 0) and abs(row.alpha.sum() - 1) <= 1e-12
+                  for row in tr)
     report("criterion 6d", ok,
            "iterate interiority and bracket monotonicity on 100 traces")
 
@@ -243,7 +243,6 @@ def test_criterion_6g_weight_scaling():
         problem = random_problem(rng, cells=128)
         c = float(rng.uniform(0.2, 5.0))
         scaled = WeightedProblem(
-            structure=problem.structure,
             weights=tuple(c * w for w in problem.weights),
             table=problem.table)
         alpha = random_alpha(rng, problem.m)

@@ -9,8 +9,8 @@ from fairdiv import (DensitySpec, GameTable, Grid, SolverConfig,
                      cardinality_weights, coalition_table,
                      cutting_plane_value, full_game, pre_division_from_table,
                      pre_division_weights, shapley, weight_of)
-from fairdiv.coalitions import (PRE_DIVISION, PRE_SOLVE_CONFIG, GameEntry,
-                                WeightSystem, versus_singletons)
+from fairdiv.coalitions import (CARDINALITY, PRE_DIVISION, PRE_SOLVE_CONFIG,
+                                GameEntry, versus_singletons)
 from fairdiv.cutting import _MasterLP
 from helpers import shapley_by_permutations
 
@@ -95,13 +95,9 @@ def test_pre_division_missing_cache_rejected():
         weight_of(pre_division_weights(uniform), (3,), table)
 
 
-@pytest.mark.parametrize("kind, message", [
-    ("fancy", "unknown weight system 'fancy'"),
-    (PRE_DIVISION, "pre-division weights need the pre-solve shares"),
-])
-def test_weight_system_rejections(kind, message):
-    with pytest.raises(ValueError, match=message):
-        WeightSystem(kind=kind)
+def test_weight_system_kind_follows_its_shares(pre_system):
+    assert cardinality_weights().kind == CARDINALITY == "cardinality"
+    assert pre_system.kind == PRE_DIVISION == "pre_division"
 
 
 def test_pre_division_weights_on_another_grid_rejected(five_players,

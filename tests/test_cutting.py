@@ -362,7 +362,7 @@ def test_no_state_outlives_a_solve(competitive_problem):
     again = cutting_plane_value(competitive_problem, config)
     assert (first.lower, first.upper, first.iterations) == (
         again.lower, again.upper, again.iterations)
-    assert np.array_equal(first.alpha, again.alpha)
+    assert np.array_equal(first.pvv.alpha, again.pvv.alpha)
     assert np.array_equal(first.shares, again.shares)
 
 

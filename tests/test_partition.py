@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairdiv import (DensitySpec, Grid, WeightedProblem, coalition_table,
-                     maxsum_partition, weighted_problem)
+from fairdiv import (DensitySpec, Grid, MeasureTable, WeightedProblem,
+                     coalition_table, maxsum_partition, weighted_problem)
 from fairdiv.partition import Allocation
 from helpers import (argmax_maxsum, brute_force_maxsum, random_alpha,
                      random_problem)
@@ -163,7 +163,6 @@ def test_weight_scaling_invariance():
     for c in (0.5, 2.0, 7.3):
         problem = random_problem(rng, cells=128)
         scaled = WeightedProblem(
-            structure=problem.structure,
             weights=tuple(c * w for w in problem.weights),
             table=problem.table)
         alpha = random_alpha(rng, problem.m)
@@ -188,13 +187,24 @@ def test_nonpositive_weight_rejected(five_players):
 @pytest.mark.parametrize("structure, weights, message", [
     ((), (), "need at least one coalition"),
     (((0,),), (1.0, 2.0), "one weight per coalition required"),
-    (((1,),), (1.0,), "table rows must match the coalition structure"),
+    *[(((0,), (1,)), (bad, 1.0), "weights must be finite and strictly "
+       "positive") for bad in (np.nan, np.inf, -np.inf, 0.0, -1.0)],
 ])
 def test_weighted_problem_rejections(five_players, structure, weights,
                                      message):
-    table = coalition_table(five_players, [(0,)], Grid(16))
+    grid = Grid(16)
+    if structure:
+        table = coalition_table(five_players, structure, grid)
+    else:
+        table = MeasureTable(grid, (), np.empty((0, grid.cell_count)))
     with pytest.raises(ValueError, match=message):
-        WeightedProblem(structure=structure, weights=weights, table=table)
+        WeightedProblem(table=table, weights=weights)
+
+
+def test_structure_is_the_table_rows(five_players):
+    problem = weighted_problem(five_players, [(2, 0, 2), (1,)], [1.0, 1.0],
+                               Grid(16))
+    assert problem.structure == problem.table.coalitions == ((0, 2), (1,))
 
 
 def test_allocation_intervals_merge():

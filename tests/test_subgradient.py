@@ -145,13 +145,12 @@ def test_trace_monotone_brackets_and_interior_iterates():
         res = solve_value(problem, config)
         tr = res.trace
         assert len(tr) >= 1
-        assert np.all(np.diff(tr.ub) <= 1e-15)
-        assert np.all(np.diff(tr.lb) >= -1e-15)
-        for ub, lb in zip(tr.ub, tr.lb):
-            assert lb <= ub + 1e-12
-        for alpha in tr.alpha:
-            assert np.all(alpha > 0.0)
-            assert abs(alpha.sum() - 1.0) <= 1e-12
+        assert np.all(np.diff([row.ub for row in tr]) <= 1e-15)
+        assert np.all(np.diff([row.lb for row in tr]) >= -1e-15)
+        for row in tr:
+            assert row.lb <= row.ub + 1e-12
+            assert np.all(row.alpha > 0.0)
+            assert abs(row.alpha.sum() - 1.0) <= 1e-12
 
 
 def test_certified_bracket_consistent_with_any_single_alpha():
@@ -187,10 +186,11 @@ def test_determinism():
     b = solve_value(problem, config)
     assert a.lower == b.lower and a.upper == b.upper
     assert a.iterations == b.iterations
-    for name in ("t", "ub", "lb", "g", "vbar", "step"):
-        assert getattr(a.trace, name) == getattr(b.trace, name)
-    for xa, xb in zip(a.trace.alpha + a.trace.u, b.trace.alpha + b.trace.u):
-        np.testing.assert_array_equal(xa, xb)
+    assert len(a.trace) == len(b.trace)
+    for ra, rb in zip(a.trace, b.trace):
+        assert ra[:6] == rb[:6]
+        np.testing.assert_array_equal(ra.alpha, rb.alpha)
+        np.testing.assert_array_equal(ra.u, rb.u)
 
 
 def test_unconverged_run_is_flagged(competitive_problem):
@@ -265,6 +265,6 @@ def test_trace_reads_one_bound_per_iterate(monkeypatch):
                                                 record_trace=True))
         tr = res.trace
         assert len(calls) == len(tr) == res.iterations + 1
-        for (u, bound), vbar, lb, tu in zip(calls, tr.vbar, tr.lb, tr.u):
-            np.testing.assert_array_equal(u, tu)
-            assert vbar == bound <= lb
+        for (u, bound), row in zip(calls, tr):
+            np.testing.assert_array_equal(u, row.u)
+            assert row.vbar == bound <= row.lb
