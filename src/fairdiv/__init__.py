@@ -8,7 +8,8 @@ coalitional game and its Shapley values are built on the same weighted
 maxmin value.
 
 A cutting-plane solver (``cutting_plane_value``, Kelley's method) needs no
-step rule.  It computes the ``solve`` command's bracket, the game values
+step rule; it searches on a 64-cell aggregate of the grid first and
+certifies on the full grid.  It computes the ``solve`` command's bracket, the game values
 (``full_game``, for every coalition or the ones passed as ``subsets``) and
 the pre-division weights, which are the dual (lambda) mix of its maxsum
 partitions: an equitable partition that splits a few cells.  The paper's

@@ -13,7 +13,26 @@ weighted combination is itself achievable, so its smallest coordinate is a
 certified lower bound.  The bound is computed from the columns in numpy
 rather than read off the LP objective: any lambda on the simplex gives a
 valid bound, so the LP's rounding never enters a certified number.  The upper
-bound is the smallest g seen.
+bound is the smallest g seen on the full grid.
+
+A solve runs on two grids with one master LP.  Every assignment of coarse
+cells is also an assignment of the fine ones, so the value vector of a
+maxsum partition of an aggregate grid is an achievable point of the K-cell
+range too.  The loop therefore starts on the grid made by halving K while it
+is even and above ``_COARSE_CELLS`` (4,096 -> 64; an odd K, or one of at most
+64 cells, has no coarse phase), whose masses sum the fine ones, and only g
+needs all K cells.  While the coarse bracket [lb, smallest coarse g] is at
+least epsilon wide, the queries are coarse.  Once it closes, or a coarse
+query returns a held column, or one iteration of the cap is left, one
+full-grid query at the coarse query with the smallest g gives the first
+upper bound, and its column joins the LP.  The loop goes on on the full
+grid, as a one-grid solve would, while [lb, smallest full-grid g] is still
+at least epsilon wide.  A coarse column equals the K-cell value vector of
+the same assignment only up to regrouping rounding: the two sum the same
+masses in different groups and divide by the weight before or after, so
+they differ by at most 2 gamma_K totals per coordinate (gamma_K = K u / (1 -
+K u), u the unit roundoff), about 1e-12 relative at 4,096 cells.  A rigorous
+widening of lb must cover that term.
 
 For the same reason each iteration reads alpha and lambda straight off the
 simplex tableau (``tableau_solution``): rounding that the tableau gathers
@@ -22,12 +41,13 @@ slightly worse query or bound, never a wrong one.  The basis is re-solved
 for the final lambda behind ``shares`` only when the result's ``lam`` is
 first read; game values and brackets never read it.  The lambda bound is
 read as soon as a column joins the master LP, and the bracket is tested on
-it, so no query is spent once the held columns close the bracket.  It is
-the only lower bound: from the first query on, the master LP holds that
-value vector and the axis points, so it bounds at least as high as the
-closed-form diagonal bound of ``bounds.lower_bound``.  A value vector
-already held (a hashed lookup of its bytes) stalls the solve, since the
-master LP would repeat itself.
+it, so no query is spent on a grid once the held columns close that grid's
+bracket.  It is the only lower bound: from the first query on, the master LP
+holds that value vector and the axis points, so it bounds at least as high
+as the closed-form diagonal bound of ``bounds.lower_bound``.  A value vector
+already held (a hashed lookup of its bytes) would make the master LP repeat
+itself: on the coarse grid it ends the coarse phase, and on the full grid it
+stalls the solve.
 
 The master LP is small (one row per held column, one column per coalition)
 and is solved exactly by a dense simplex (``_MasterLP``).  Every solve
@@ -39,9 +59,11 @@ columns, and doubles only past that.  The dual ratio test along a row and
 the tableau read are taken on Python floats: with m entries, numpy's
 per-call dispatch would cost more than the comparisons.
 
-Every column is a cell assignment (axis column q gives every cell to q), so
-the same lambda mix of the assignments is an achievable fractional
-partition whose value vector is lambda C; at the optimum it is equitable.
+Every column is a cell assignment (axis column q gives every cell to q; a
+coarse column gives each fine cell to its coarse cell's coalition), so the
+same lambda mix of the assignments is an achievable fractional partition
+whose value vector is lambda C, up to the regrouping rounding; at the
+optimum it is equitable.
 This is the LP-duality form of the paper's statement that the competitive
 optimum is a convex combination of maxsum partitions (``shares``).
 
@@ -56,6 +78,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .measures import Grid, MeasureTable
 from .partition import WeightedProblem, _pairwise_sum, maxsum_partition
 from .subgradient import _EXACT_STOP_TOL, SolveResult, SolverConfig
 
@@ -68,9 +91,12 @@ _PIVOT_TOL = 1e-12
 _COLD_PIVOTS = 20
 _WARM_PIVOTS = 50
 #: held columns (axis points included) the master LP's storage takes before
-#: it first doubles: above every game solve of the bundled five players, below
-#: the 69 of their pre-division pre-solve
+#: it first doubles: above every game solve of the bundled five players (26 at
+#: most, on both grids), below the 72 of their pre-division pre-solve
 _ROWS = 32
+#: a solve runs on the grid made by halving the cell count while it is even
+#: and above this, before the full grid
+_COARSE_CELLS = 64
 
 
 class _MasterLP:
@@ -237,19 +263,21 @@ class CuttingResult(SolveResult):
     ``columns`` stacks the m axis points, then every held value vector;
     ``queries`` holds, row by row in the same order, the alpha at which the
     oracle returned each non-axis column (m floats, not its K-cell
-    assignment), and ``lam`` the master LP's final lambda over all columns,
-    re-solved from the final basis on first read and then kept.
-    ``problem`` is the problem solved, whose oracle ``shares`` re-runs.
-    ``stop_reason`` is why the loop stopped: ``"epsilon"`` (bracket
-    narrower than epsilon), ``"exact"`` (narrower than the rounding floor
-    of 1e-12, for an epsilon below that), ``"stall"`` (the oracle returned
-    a held column) or ``"max_iter"``; ``pivots`` counts the master LP's
-    simplex pivots.
+    assignment), ``coarse`` whether it was on the coarse grid (every coarse
+    column comes before every full-grid one), and ``lam`` the master LP's
+    final lambda over all columns, re-solved from the final basis on first
+    read and then kept.  ``problem`` is the problem solved, whose oracle
+    ``shares`` re-runs.  ``stop_reason`` is why the loop stopped:
+    ``"epsilon"`` (bracket narrower than epsilon), ``"exact"`` (narrower
+    than the rounding floor of 1e-12, for an epsilon below that),
+    ``"stall"`` (the full-grid oracle returned a held column) or
+    ``"max_iter"``; ``pivots`` counts the master LP's simplex pivots.
     """
 
     problem: WeightedProblem
     columns: np.ndarray
     queries: np.ndarray
+    coarse: np.ndarray
     stop_reason: str
     pivots: int
     _master: _MasterLP = field(repr=False, compare=False)
@@ -265,43 +293,70 @@ class CuttingResult(SolveResult):
 
         lambda is the master LP's final one, over every held column.  The
         assignments a_i are rebuilt, not kept: the maxsum oracle is re-run
-        at the query of each column with lambda > 0, in column order.  It
-        is deterministic, so each is the assignment the solve saw, and a
-        column of lambda 0 would add nothing.  Every cell's shares sum to
-        1, and the value vector (shares * cell_values).sum(axis=1) is
-        lambda C: its smallest coordinate is the master-LP value, and it is
-        equitable wherever the master LP's alpha is interior.
+        at the query of each column with lambda > 0, in column order, on the
+        grid the column was found on.  It is deterministic, so each is the
+        assignment the solve saw, and a column of lambda 0 would add
+        nothing.  The axis and coarse columns are mixed on the coarse cells,
+        and that mix is spread over the fine cells (``np.repeat``) before
+        the full-grid columns join.  Every cell's shares sum to 1, and the
+        value vector (shares * cell_values).sum(axis=1) is lambda C up to
+        the regrouping rounding of the coarse columns: its smallest
+        coordinate is the master-LP value, and it is equitable wherever the
+        master LP's alpha is interior.
         """
         m, lam = self.columns.shape[1], self.lam
-        cells = np.arange(self.problem.grid.cell_count)
-        out = np.repeat(lam[:m, None], cells.size, axis=1)
-        for weight, alpha in zip(lam[m:], self.queries):
-            if weight > 0:
-                pvv = maxsum_partition(self.problem, alpha)
-                out[pvv.allocation.assignment, cells] += weight
+        out = lam[:m, None]
+        for grid, on_coarse in ((_coarse_problem(self.problem), True),
+                                (self.problem, False)):
+            cells = np.arange(grid.grid.cell_count)
+            out = np.repeat(out, cells.size // out.shape[1], axis=1)
+            mine = self.coarse == on_coarse
+            for weight, alpha in zip(lam[m:][mine], self.queries[mine]):
+                if weight > 0:
+                    pvv = maxsum_partition(grid, alpha)
+                    out[pvv.allocation.assignment, cells] += weight
         return out
+
+
+def _coarse_problem(problem: WeightedProblem) -> WeightedProblem:
+    """``problem`` on the grid of at most ``_COARSE_CELLS`` cells made by
+    halving its cell count while it is even and above that; ``problem``
+    itself when no halving is possible.  A coarse cell's mass is the sum of
+    its fine cells' masses, so no table is rebuilt."""
+    cells = fine = problem.grid.cell_count
+    while cells % 2 == 0 and cells > _COARSE_CELLS:
+        cells //= 2
+    if cells == fine:
+        return problem
+    table = problem.table
+    masses = table.masses.reshape(problem.m, cells, fine // cells).sum(axis=2)
+    return WeightedProblem(MeasureTable(Grid(cells), table.coalitions, masses),
+                           problem.weights)
 
 
 def cutting_plane_value(problem: WeightedProblem,
                         config: SolverConfig = SolverConfig()) -> CuttingResult:
-    """Shrink the certified bracket around the maxmin value to epsilon.
+    """Shrink the certified bracket around the maxmin value to epsilon, on
+    the coarse grid first and then on the full grid (module docstring).
 
-    Stops when the bracket is narrower than ``config.epsilon`` or pinched
-    exactly (converged), when the oracle returns a value vector already held
-    (the master LP would repeat itself; not converged), or after
-    ``config.max_iterations`` master-LP iterations (not converged); the
-    result's ``stop_reason`` says which.  ``config.record_trace`` is not
-    used.  The result carries the query point with the smallest g, and the
-    held columns with their queries and lambda-mix ``shares``.
+    Stops when the full-grid bracket is narrower than ``config.epsilon`` or
+    pinched exactly (converged), when the full-grid oracle returns a value
+    vector already held (the master LP would repeat itself; not converged),
+    or after ``config.max_iterations`` master-LP iterations on both grids
+    (not converged); the result's ``stop_reason`` says which.
+    ``config.record_trace`` is not used.  The result carries the full-grid
+    query point with the smallest g, and the held columns with their
+    queries and lambda-mix ``shares``.
     """
     totals = problem.totals
-    pvv = maxsum_partition(problem, np.full(problem.m, 1.0 / problem.m))
+    grid = _coarse_problem(problem)
+    pvv = maxsum_partition(grid, np.full(problem.m, 1.0 / problem.m))
     best = pvv
     # every value vector is at most totals, up to summation order
     lp = _MasterLP(totals, totals.max())
     lp.add(pvv.u)
     held = {u.tobytes() for u in lp.columns}
-    queries = [pvv.alpha]
+    queries, coarse = [pvv.alpha], [grid is not problem]
     lb, stalled = -np.inf, False
 
     t = 0
@@ -311,16 +366,22 @@ def cutting_plane_value(problem: WeightedProblem,
         alpha, lam = lp.tableau_solution()
         lb = max(lb, float((lam @ lp.columns).min()))
         width = best.g_value - lb
+        # the coarse phase leaves the last iteration to the full grid
         reason = ("epsilon" if width < config.epsilon
                   else "exact" if width < _EXACT_STOP_TOL
                   else "stall" if stalled
-                  else "max_iter" if t >= config.max_iterations
+                  else "max_iter"
+                  if t >= config.max_iterations - (grid is not problem)
                   else None)
+        if reason is not None and grid is not problem:
+            # a coarse g bounds only the coarse value: certify at the best
+            # coarse query on the full grid, and go on there
+            grid, alpha, best, reason = problem, best.alpha, None, None
         if reason is not None:
             break
-        pvv = maxsum_partition(problem, alpha)
+        pvv = maxsum_partition(grid, alpha)
         t += 1
-        if pvv.g_value < best.g_value:
+        if best is None or pvv.g_value < best.g_value:
             best = pvv
         key = pvv.u.tobytes()
         stalled = key in held
@@ -328,6 +389,7 @@ def cutting_plane_value(problem: WeightedProblem,
             held.add(key)
             lp.add(pvv.u)
             queries.append(pvv.alpha)
+            coarse.append(grid is not problem)
 
     # on an exact pinch (always so for m == 1) g and the bound sum the same
     # cells in different orders and may differ in the last bit
@@ -335,5 +397,5 @@ def cutting_plane_value(problem: WeightedProblem,
                          pvv=best, iterations=t,
                          converged=reason in ("epsilon", "exact"),
                          problem=problem, columns=lp.columns,
-                         queries=np.array(queries), stop_reason=reason,
-                         pivots=lp.pivots, _master=lp)
+                         queries=np.array(queries), coarse=np.array(coarse),
+                         stop_reason=reason, pivots=lp.pivots, _master=lp)

@@ -6,7 +6,7 @@ import pytest
 
 import fairdiv.coalitions
 from fairdiv import (DensitySpec, GameTable, Grid, SolverConfig,
-                     cardinality_weights, coalition_table,
+                     WeightedProblem, cardinality_weights, coalition_table,
                      cutting_plane_value, full_game, pre_division_from_table,
                      pre_division_weights, shapley, weight_of)
 from fairdiv.coalitions import (CARDINALITY, PRE_DIVISION, PRE_SOLVE_CONFIG,
@@ -108,9 +108,11 @@ def test_pre_division_weights_on_another_grid_rejected(five_players,
 
 
 def test_pre_solve_memory_does_not_grow_with_its_iterations(five_players):
-    # a solve keeps each held column's query alpha (m floats), not its cell
-    # assignment: 63 iterations peak no higher than 10, where keeping the
-    # assignments would add 53 x 65,536 x 8 bytes
+    # a solve keeps each held column's query alpha (m floats) and its grid,
+    # not its cell assignment: 78 iterations (52 oracle calls on the full
+    # grid) peak no higher than 30 (27 on the 64-cell grid, then 4 on the
+    # full grid), where keeping the assignments would add 48 x 65,536 x 8
+    # bytes
     cells = 65536
 
     def peak(max_iterations):
@@ -123,7 +125,7 @@ def test_pre_solve_memory_does_not_grow_with_its_iterations(five_players):
         finally:
             tracemalloc.stop()
 
-    capped, capped_peak = peak(10)
+    capped, capped_peak = peak(30)
     full, full_peak = peak(PRE_SOLVE_CONFIG.max_iterations)
     assert not capped.converged and full.converged
     assert full_peak - capped_peak < cells * 8
@@ -191,6 +193,25 @@ def test_weights_read_off_each_game_table_match_the_full_table(
         for u in table.coalitions:
             assert (weight_of(pre_system, u, table)
                     == weight_of(pre_system, u, table_4096))
+
+
+@pytest.mark.parametrize("kind", ["card", "pre"])
+def test_game_structures_bracket_their_fine_values(all_subsets_5, pre_system,
+                                                   table_4096, kind):
+    # every structure of the bundled game, solved as ``full_game`` solves
+    # it (64 cells first, then the 4,096 cells), brackets the value its
+    # epsilon = 1e-9 solve pins down, within the default epsilon of 1e-3
+    system = cardinality_weights() if kind == "card" else pre_system
+    structures = {versus_singletons(s, 5) for s in all_subsets_5}
+    for structure in sorted(structures):
+        problem = WeightedProblem(
+            table_4096.restrict(structure),
+            tuple(weight_of(system, u, table_4096) for u in structure))
+        res = cutting_plane_value(problem)
+        fine = cutting_plane_value(problem, SolverConfig(epsilon=1e-9))
+        assert res.converged and fine.converged
+        assert res.width < 1e-3
+        assert res.lower <= fine.upper and fine.lower <= res.upper
 
 
 def test_grand_coalition_game_value(disjoint_pair):

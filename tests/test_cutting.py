@@ -3,8 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fairdiv import (DensitySpec, Grid, SolverConfig, cutting_plane_value,
-                     lower_bound, maxsum_partition, weighted_problem)
+from fairdiv import (DensitySpec, Grid, MeasureTable, SolverConfig,
+                     WeightedProblem, cutting_plane_value, lower_bound,
+                     maxsum_partition, weighted_problem)
 from fairdiv.cutting import _ROWS, _MasterLP
 from fairdiv.partition import _check_alpha
 from helpers import (cell_lp_value, master_lp_value, random_density,
@@ -86,31 +87,46 @@ def test_pinch_below_epsilon_reads_exact(competitive_problem):
     assert res.stop_reason == "epsilon"
 
 
+def _answer_with(monkeypatch, answers):
+    """Patch the solver's oracle to return ``answers`` in turn, the last
+    one ever after; returns the cell counts of the grids it was asked on."""
+    grids, answers = [], list(answers)
+
+    def oracle(problem, alpha):
+        grids.append(problem.grid.cell_count)
+        return answers[min(len(grids), len(answers)) - 1]
+
+    monkeypatch.setattr("fairdiv.cutting.maxsum_partition", oracle)
+    return grids
+
+
 def test_repeated_column_ends_unconverged(competitive_problem, monkeypatch):
     # an oracle that only returns a column already held: the master LP would
-    # repeat itself, so the solver must stop rather than run to the cap
+    # repeat itself, so the solver must stop rather than run to the cap.  A
+    # repeat on the 64-cell grid moves the solve to the full grid, and a
+    # repeat there stalls it
     first = maxsum_partition(competitive_problem, np.full(5, 0.2))
-    monkeypatch.setattr("fairdiv.cutting.maxsum_partition",
-                        lambda problem, alpha: first)
+    grids = _answer_with(monkeypatch, [first])
     res = cutting_plane_value(competitive_problem, SolverConfig(epsilon=1e-9))
     assert not res.converged
     assert res.stop_reason == "stall"
-    assert res.iterations == 1
+    assert grids == [64, 64, 4096]
+    assert res.iterations == 2
     assert res.lower <= res.upper
 
 
 def test_held_axis_column_stalls(competitive_problem, monkeypatch):
     # the axis rows are held columns too: an oracle that returns the whole
-    # cake's value to coalition 2 repeats the master LP just the same
+    # cake's value to coalition 2 repeats the master LP just the same, on
+    # either grid
     first = maxsum_partition(competitive_problem, np.full(5, 0.2))
-    answers = iter([first, replace(first,
-                                   u=np.diag(competitive_problem.totals)[2])])
-    monkeypatch.setattr("fairdiv.cutting.maxsum_partition",
-                        lambda problem, alpha: next(answers))
+    grids = _answer_with(monkeypatch, [
+        first, replace(first, u=np.diag(competitive_problem.totals)[2])])
     res = cutting_plane_value(competitive_problem, SolverConfig(epsilon=1e-9))
     assert not res.converged
     assert res.stop_reason == "stall"
-    assert res.iterations == 1
+    assert grids == [64, 64, 4096]
+    assert res.iterations == 2
     assert len(res.columns) == 6
 
 
@@ -367,24 +383,124 @@ def test_no_state_outlives_a_solve(competitive_problem):
 
 
 def test_no_query_once_the_held_columns_close_the_bracket(monkeypatch):
-    # before every query past the first, the master LP over every column
-    # returned so far (HiGHS, independent of the solver's tableau) must
-    # still leave the bracket [LP value, smallest g] at least epsilon wide
+    # before every query past the first on a grid, the master LP over every
+    # column returned so far (HiGHS, independent of the solver's tableau)
+    # must still leave that grid's bracket [LP value, smallest g on it] at
+    # least epsilon wide: the 64-cell bracket for a 64-cell query, the
+    # certified one for a full-grid query
     rng = np.random.default_rng(707)
     for _ in range(12):
         problem = random_problem(rng, max_players=5, max_m=5, cells=128)
         eps = float(rng.choice([1e-2, 1e-3, 1e-4]))
-        columns, best = [np.diag(problem.totals)], [np.inf]
+        columns, best = [np.diag(problem.totals)], {}
 
-        def spy(problem, alpha):
-            if len(columns) > 1:
-                width = best[0] - master_lp_value(np.vstack(columns))
+        def spy(grid, alpha):
+            cells = grid.grid.cell_count
+            if cells in best:
+                width = best[cells] - master_lp_value(np.vstack(columns))
                 assert width >= eps - LP_TOL, "query after the bracket closed"
-            pvv = maxsum_partition(problem, alpha)
+            pvv = maxsum_partition(grid, alpha)
             columns.append(pvv.u[None, :])
-            best[0] = min(best[0], pvv.g_value)
+            best[cells] = min(best.get(cells, np.inf), pvv.g_value)
             return pvv
 
         monkeypatch.setattr("fairdiv.cutting.maxsum_partition", spy)
         res = cutting_plane_value(problem, SolverConfig(epsilon=eps))
         assert res.converged
+        assert sorted(best) == [64, 128]
+
+
+def _spy_grids(monkeypatch) -> list[int]:
+    """Record the cell count of the grid of every oracle call."""
+    grids = []
+
+    def spy(problem, alpha):
+        grids.append(problem.grid.cell_count)
+        return maxsum_partition(problem, alpha)
+
+    monkeypatch.setattr("fairdiv.cutting.maxsum_partition", spy)
+    return grids
+
+
+def test_iteration_cap_leaves_the_last_iteration_to_the_full_grid(
+        competitive_problem, monkeypatch):
+    # the 64-cell phase stops one iteration short of the cap, so even a
+    # capped solve ends with a certified upper bound (the cap is at least 1)
+    grids = _spy_grids(monkeypatch)
+    for cap, want in ((1, [64, 4096]), (3, [64, 64, 64, 4096])):
+        grids.clear()
+        res = cutting_plane_value(competitive_problem,
+                                  SolverConfig(max_iterations=cap))
+        assert grids == want
+        assert res.iterations == cap
+        assert res.stop_reason == "max_iter"
+        assert res.upper == res.pvv.g_value
+        assert res.pvv.allocation.assignment.size == 4096
+
+
+@pytest.mark.parametrize("cells, grids", [(1000, {125, 1000}), (48, {48})])
+def test_two_grid_bracket_contains_cell_lp_value(monkeypatch, cells, grids):
+    # 1,000 cells halve to 125 (odd), so the solve starts there; 48 cells
+    # are no more than 64, so the solve runs on them alone
+    rng = np.random.default_rng(211)
+    seen = _spy_grids(monkeypatch)
+    for _ in range(6):
+        problem = random_problem(rng, max_players=5, max_m=5, cells=cells)
+        value = cell_lp_value(problem)
+        for eps in (1e-3, 1e-6):
+            res = cutting_plane_value(problem, SolverConfig(epsilon=eps))
+            assert res.converged and res.width < eps
+            assert res.lower <= value + LP_TOL
+            assert res.upper >= value - LP_TOL
+            assert res.pvv.allocation.assignment.size == cells
+            assert res.coarse.any() == (len(grids) == 2)
+    assert set(seen) == grids
+
+
+def test_shares_expand_coarse_assignments(competitive_problem):
+    # at epsilon 1e-3 the mix weighs 64-cell columns and the full-grid one:
+    # each 64-cell assignment is spread over the 64 fine cells of each of
+    # its cells, every cell is split exactly, and the value vector on the
+    # 4,096 cells lies in the bracket up to the regrouping rounding
+    table = competitive_problem.table
+    coarse = WeightedProblem(
+        MeasureTable(Grid(64), table.coalitions,
+                     table.masses.reshape(5, 64, 64).sum(axis=2)),
+        competitive_problem.weights)
+    for eps in (1e-3, 1e-9):
+        res = cutting_plane_value(competitive_problem,
+                                  SolverConfig(epsilon=eps))
+        lam, cells = res.lam, np.arange(4096)
+        want = np.repeat(lam[:5, None], 4096, axis=1)
+        for weight, alpha, on_coarse in zip(lam[5:], res.queries,
+                                            res.coarse):
+            if on_coarse:
+                assignment = np.repeat(
+                    maxsum_partition(coarse, alpha).allocation.assignment, 64)
+            else:
+                assignment = maxsum_partition(competitive_problem,
+                                              alpha).allocation.assignment
+            want[assignment, cells] += weight
+        shares = res.shares
+        assert np.abs(shares - want).max() <= 1e-15
+        assert (shares >= 0.0).all()
+        assert np.abs(shares.sum(axis=0) - 1.0).max() <= 1e-12
+        values = (shares * competitive_problem.cell_values).sum(axis=1)
+        assert res.lower - 1e-12 <= values.min()
+        assert values.max() <= res.upper + 1e-12
+        if eps == 1e-3:
+            assert (lam[5:][res.coarse] > 0.0).any()
+            assert (lam[5:][~res.coarse] > 0.0).any()
+
+
+def test_full_grid_calls_stay_few_on_a_large_grid(five_players, monkeypatch):
+    # the bundled singletons at 32,768 cells: the 64-cell phase does the
+    # searching, and the full grid is queried to certify (once today; a
+    # one-grid solve made 16 calls there)
+    problem = weighted_problem(five_players, [(i,) for i in range(5)],
+                               [1.0] * 5, Grid(32768))
+    grids = _spy_grids(monkeypatch)
+    res = cutting_plane_value(problem)
+    assert res.converged and res.width < 1e-3
+    assert set(grids) == {64, 32768}
+    assert grids.count(32768) <= 2
