@@ -142,9 +142,11 @@ def _parse_players(text: str, n: int) -> tuple[int, ...]:
 def _parse_structure(text: str | None, n: int) -> tuple[tuple[int, ...], ...]:
     if text is None:
         return tuple((i,) for i in range(n))
-    groups = [g for g in text.split("|") if g.strip()]
-    if not groups:
+    groups = text.split("|")
+    if not any(g.strip() for g in groups):
         raise ConfigError("empty coalition structure")
+    if not all(g.strip() for g in groups):
+        raise ConfigError(f"empty coalition in {text!r}")
     structure = tuple(_parse_players(g, n) for g in groups)
     seen: set[int] = set()
     for s in structure:

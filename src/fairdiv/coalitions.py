@@ -33,9 +33,10 @@ CARDINALITY = "cardinality"
 PRE_DIVISION = "pre_division"
 
 #: competitive pre-solve for pre-division weights: at this epsilon the master
-#: LP closes the bundled singletons' bracket to 8.9e-10 in 67 iterations (26
-#: on the 64-cell grid, then 41 on the 4,096 cells) and its lambda mix splits
-#: 5 of the 4,096 cells; at 1e-3 it splits 1,363
+#: LP closes the bundled singletons' bracket to 8.9e-10 in 68 queries (27 on
+#: the 64-cell grid, the first at the axis optimum, then 41 on the 4,096
+#: cells) and 90 pivots, and its lambda mix splits 5 of the 4,096 cells; at
+#: 1e-3 it splits 1,363
 PRE_SOLVE_CONFIG = SolverConfig(epsilon=1e-9)
 
 

@@ -35,29 +35,31 @@ K u), u the unit roundoff), about 1e-12 relative at 4,096 cells.  A rigorous
 widening of lb must cover that term.
 
 For the same reason each iteration reads alpha and lambda straight off the
-simplex tableau (``tableau_solution``): rounding that the tableau gathers
-can only move them a little along the simplex, which costs at most a
-slightly worse query or bound, never a wrong one.  The basis is re-solved
-for the final lambda behind ``shares`` only when the result's ``lam`` is
-first read; game values and brackets never read it.  The lambda bound is
-read as soon as a column joins the master LP, and the bracket is tested on
-it, so no query is spent on a grid once the held columns close that grid's
-bracket.  It is the only lower bound: from the first query on, the master LP
-holds that value vector and the axis points, so it bounds at least as high
-as the closed-form diagonal bound of ``bounds.lower_bound``.  A value vector
-already held (a hashed lookup of its bytes) would make the master LP repeat
-itself: on the coarse grid it ends the coarse phase, and on the full grid it
-stalls the solve.
+master LP's basis (``_MasterLP.read``): rounding that its pivots gather can
+only move them a little along the simplex, which costs at most a slightly
+worse query or bound, never a wrong one.  The basis is re-solved for the
+final lambda behind ``shares`` only when the result's ``lam`` is first read;
+game values and brackets never read it.  Every query is the master LP's
+alpha, the first one too: over the axis points alone that is alpha
+proportional to 1 / totals (uniform where the totals are equal).  The
+lambda bound is read as soon as a column joins the master LP, and the
+bracket is tested on it, so no query is spent on a grid once the held
+columns close that grid's bracket.  It is the only lower bound: once the
+first value vector joins the axis points, the master LP bounds at least as
+high as that vector's closed-form diagonal bound (``bounds.lower_bound``).
+A value vector already held (a hashed lookup of its bytes, the axis points
+included) would make the master LP repeat itself: on the coarse grid it
+ends the coarse phase, and on the full grid it stalls the solve.
 
 The master LP is small (one row per held column, one column per coalition)
-and is solved exactly by a dense simplex (``_MasterLP``).  Every solve
-starts at the closed-form optimum of the axis rows, which is dual
-feasible, and every value vector, the first included, joins as one more
-row, so one tableau lives for the whole solve and only dual-simplex pivots
-are ever made.  Its storage is allocated once, for ``_ROWS`` held
-columns, and doubles only past that.  The dual ratio test along a row and
-the tableau read are taken on Python floats: with m entries, numpy's
-per-call dispatch would cost more than the comparisons.
+and is solved exactly by a revised simplex on its dual (``_MasterLP``),
+which keeps only an m x m basis inverse, whatever the number of held
+columns.  Every solve starts at the closed-form optimum of the axis rows,
+and every value vector joins as one more column of the dual, so one basis
+lives for the whole solve and each pivot costs O(m^2).  Pricing the held
+columns is one numpy matvec; the pivots and the reads are taken on Python
+floats.  The columns' storage is allocated once, for ``_ROWS`` held
+columns, and doubles only past that.
 
 Every column is a cell assignment (axis column q gives every cell to q; a
 coarse column gives each fine cell to its coarse cell's coalition), so the
@@ -75,6 +77,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -82,17 +85,17 @@ from .measures import Grid, MeasureTable
 from .partition import WeightedProblem, _pairwise_sum, maxsum_partition
 from .subgradient import _EXACT_STOP_TOL, SolveResult, SolverConfig
 
-#: reduced costs, pivots, ratio ties and negative right-hand sides below this
-#: count as zero; the tableau is scaled so its largest column entry is 1
+#: reduced costs, pivots and ratio ties below this count as zero; the columns
+#: are scaled so that their largest entry is 1
 _PIVOT_TOL = 1e-12
-#: pivot caps: per tableau row and column of a cold rebuild from the axis
-#: start (then ``RuntimeError``), and per re-solve after an add (then a cold
-#: rebuild)
+#: pivot caps: per held column and coalition of a restart from the axis
+#: basis (then ``RuntimeError``), and per re-solve after an add (then a
+#: restart)
 _COLD_PIVOTS = 20
 _WARM_PIVOTS = 50
 #: held columns (axis points included) the master LP's storage takes before
 #: it first doubles: above every game solve of the bundled five players (26 at
-#: most, on both grids), below the 72 of their pre-division pre-solve
+#: most, on both grids), below the 73 of their pre-division pre-solve
 _ROWS = 32
 #: a solve runs on the grid made by halving the cell count while it is even
 #: and above this, before the full grid
@@ -100,154 +103,164 @@ _COARSE_CELLS = 64
 
 
 class _MasterLP:
-    """Simplex tableau of the master LP over the columns C held so far.
+    """Revised simplex on the dual of the master LP over the columns C held
+    so far.
 
     Every column is nonnegative and the axis rows make the master value v
-    positive, so with y = alpha / v the master LP is
+    positive, so with y = alpha / v and C scaled by 1 / scale the master LP
+    and its dual are
 
-        max 1'y  s.t.  C y <= 1,  y >= 0.
+        max 1'y  s.t.  C y <= 1,  y >= 0;
+        min 1'mu  s.t.  C'mu - s = 1,  mu >= 0,  s >= 0.
 
-    Row 0 of the condensed tableau holds -(reduced costs) and 1'y; row 1 + i
-    reads basic variable = rhs - sum_k t[1 + i, k] * nonbasic_k.  Variables
-    0..m-1 are y, m + i is the slack of column i.
+    The dual has m rows, so a basis is m of its variables, numbered as the
+    master LP's own: surplus s_j is variable j (basic where y_j is
+    nonbasic) and mu_i is m + i (basic where column i binds, its slack
+    nonbasic).  The LP keeps just the basis inverse B^-1 (m x m), the basic
+    values x_B = B^-1 1 and the prices pi = c_B' B^-1, which are y.  They
+    are Python floats: with m entries, numpy's per-call dispatch would cost
+    more than the arithmetic.
 
     Every solve starts at the optimum of the m axis rows alone, in closed
-    form: y_j = scale / totals_j basic in row j, each axis slack nonbasic
-    with dual scale / totals_j > 0.  That basis is dual feasible, and ``add``
-    keeps it so: it writes the row c'y <= 1 of a new column in the current
-    nonbasic variables, with its slack basic.  So only dual-simplex pivots
-    are ever needed, under Bland's rule (smallest index leaves and enters),
-    which terminates.  A pivot or two restores optimality after an add; if
-    a re-solve fails, the tableau is rebuilt the same way from the axis
-    start, every held row rewritten, then dual pivots.  One instance lives
-    for one solve, at one scale; ``pivots`` counts its pivots, rebuilds
-    included.
+    form: mu_j = y_j = scale / totals_j.  That basis is feasible for the
+    dual, and ``add`` keeps it so, since a new column is one more nonbasic
+    mu.  So only primal pivots on the dual (the master LP's dual-simplex
+    pivots) are ever made, under Bland's rule (smallest index enters, and
+    smallest index leaves among ratio ties), which terminates.  Pricing
+    takes the reduced cost pi_j of each nonbasic s_j, then 1 - c_i pi of the
+    held columns in one numpy matvec; right after an add only the new
+    column's, since the basis is optimal for the others.  A pivot updates
+    B^-1, x_B and pi in O(m^2).  A pivot or two restores optimality after
+    an add; if a re-solve fails, the LP restarts from the axis basis, then
+    pivots again.  One instance lives for one solve, at one scale;
+    ``pivots`` counts its pivots, restarts included.
     """
 
     def __init__(self, totals: np.ndarray, scale: float):
         m = self.m = self.n = totals.size
         self.scale, self.pivots = scale, 0
-        rows = max(_ROWS, 2 * m)
-        self._c = np.empty((rows, m))
+        self._c = np.empty((max(_ROWS, 2 * m), m))
         self._c[:m] = np.diag(totals)
         self.columns = self._c[:m]
-        self._t = np.empty((rows + 1, m + 1))
-        self._row_var = np.empty(rows, dtype=np.intp)
-        # a new column's value per variable: c_j / scale for y_j, 0 for
-        # every slack
-        self._value = np.zeros(m + rows)
         self._axis_start()
 
     def _axis_start(self) -> None:
-        m, y = self.m, self.scale / self._c.diagonal()
-        self._t[0, :m], self._t[0, m] = y, y.sum()
-        self._t[1:m + 1] = np.column_stack([np.diag(y), y])
-        self._col_var = np.arange(m, 2 * m)
-        self._row_var[:m] = np.arange(m)
+        m = self.m
+        y = (self.scale / self._c.diagonal()).tolist()
+        self._basis = list(range(m, 2 * m))
+        self._inv = [[0.0] * m for _ in range(m)]
+        for j in range(m):
+            self._inv[j][j] = y[j]
+        self._x, self._pi = y, y.copy()
 
     def add(self, column: np.ndarray) -> None:
         """Hold one more column and re-solve from the current basis."""
         n, m = self.n, self.m
         if n == len(self._c):  # np.resize keeps the leading rows
             self._c = np.resize(self._c, (2 * n, m))
-            self._t = np.resize(self._t, (2 * n + 1, m + 1))
-            self._row_var = np.resize(self._row_var, 2 * n)
-            self._value = np.zeros(m + 2 * n)
         self._c[n] = column
         self.n, self.columns = n + 1, self._c[:n + 1]
-        self._write_row(n)
-        if not self._solve(_WARM_PIVOTS):
+        # the basis is optimal for the columns before, so only the new one
+        # can price out
+        cost = 1.0 - sum(map(mul, self._c[n].tolist(), self._pi)) / self.scale
+        if cost < -_PIVOT_TOL and not self._solve(_WARM_PIVOTS, (m + n, cost)):
             self._cold()
-
-    def _write_row(self, i: int) -> None:
-        """Write held column i as tableau row 1 + i, its slack basic: 1 -
-        c'y, with each basic variable substituted from its row (the slack
-        rows weigh 0)."""
-        m, value, t = self.m, self._value, self._t
-        np.divide(self._c[i], self.scale, out=value[:m])
-        row = t[i + 1]
-        np.take(value, self._col_var, out=row[:m])
-        row[m] = 1.0
-        row -= value[self._row_var[:i]] @ t[1:i + 1]
-        self._row_var[i] = m + i
 
     def _cold(self) -> None:
         self._axis_start()
-        for i in range(self.m, self.n):
-            self._write_row(i)
         cap = _COLD_PIVOTS * (self.n + self.m)
-        if not self._solve(cap):
+        if not self._solve(cap, self._entering()):
             raise RuntimeError(f"master LP did not reach an optimum within "
                                f"{cap} pivots")
 
-    def _solve(self, max_pivots: int) -> bool:
-        """Dual-simplex pivots while a right-hand side is negative.  False if
-        that takes more than ``max_pivots`` pivots, or on a rounding-lost
-        bound."""
-        m = self.m
-        t = self._t[:self.n + 1]
-        col_var, row_var = self._col_var, self._row_var[:self.n]
+    def _entering(self) -> tuple[int, float] | None:
+        """Bland's entering variable and its reduced cost: the smallest
+        index whose reduced cost is below -``_PIVOT_TOL``, None at an
+        optimum."""
+        pi = self._pi
+        for j, cost in enumerate(pi):
+            if cost < -_PIVOT_TOL:  # pi_j is exactly 0 where s_j is basic
+                return j, cost
+        m, basis, scale = self.m, self._basis, self.scale
+        # the reduced cost 1 - c_i pi / scale is below -tol
+        prices = self.columns @ np.array(pi)
+        for i in (prices > scale + scale * _PIVOT_TOL).nonzero()[0].tolist():
+            if m + i not in basis:
+                return m + i, 1.0 - float(prices[i]) / scale
+        return None
+
+    def _solve(self, max_pivots: int,
+               entering: tuple[int, float] | None) -> bool:
+        """Pivots from ``entering`` on while a reduced cost is negative.
+        False if that takes more than ``max_pivots`` pivots, or on a
+        rounding-lost bound."""
+        m, inv, x, basis = self.m, self._inv, self._x, self._basis
         for pivots in itertools.count():
-            out = (t[1:, m] < -_PIVOT_TOL).nonzero()[0]
-            if not out.size:
+            if entering is None:
                 return True
-            r = out[row_var[out].argmin()]
-            # the m-wide ratio test on Python floats
-            top, row = t[0, :m].tolist(), t[1 + r, :m].tolist()
-            ratio = {k: max(top[k], 0.0) / -row[k]
-                     for k in range(m) if row[k] < -_PIVOT_TOL}
+            q, cost = entering
+            if q < m:
+                d = [-row[q] for row in inv]
+            else:
+                a, scale = self._c[q - m].tolist(), self.scale
+                d = [sum(map(mul, row, a)) / scale for row in inv]
+            ratios = [(max(xk, 0.0) / dk, k)
+                      for k, (xk, dk) in enumerate(zip(x, d))
+                      if dk > _PIVOT_TOL]
             # no ratio only by rounding, since y = 0 is feasible
-            if not ratio or pivots == max_pivots:
+            if not ratios or pivots == max_pivots:
                 return False
-            least = min(ratio.values()) + _PIVOT_TOL
-            k = min((j for j, q in ratio.items() if q <= least),
-                    key=col_var.tolist().__getitem__)
-            self._pivot(1 + r, k)
+            least = min(ratios)[0] + _PIVOT_TOL
+            r = min([(basis[k], k) for v, k in ratios if v <= least])[1]
+            self._exchange(r, q, d, cost)
+            entering = self._entering()
 
-    def _pivot(self, r: int, k: int) -> None:
+    def _exchange(self, r: int, q: int, d: list[float], cost: float) -> None:
+        """One pivot: variable q, of reduced cost ``cost``, enters at basis
+        position r along d = B^-1 a_q; B^-1, x_B and pi are updated in
+        O(m^2)."""
         self.pivots += 1
-        t = self._t[:self.n + 1]
-        p = t[r, k]
-        pivot_row = t[r] / p
-        col = t[:, k].copy()
-        t -= col[:, None] * pivot_row
-        t[r] = pivot_row
-        t[:, k] = -col / p
-        t[r, k] = 1.0 / p
-        self._col_var[k], self._row_var[r - 1] = (self._row_var[r - 1],
-                                                  self._col_var[k])
+        inv, x, p = self._inv, self._x, d[r]
+        step = cost / p
+        self._pi = [a + step * b for a, b in zip(self._pi, inv[r])]
+        if q < self.m:  # y_q leaves the basis: exactly 0
+            self._pi[q] = 0.0
+        row, xr = [b / p for b in inv[r]], x[r] / p
+        for k, dk in enumerate(d):
+            if k != r and dk != 0.0:
+                inv[k] = [a - dk * b for a, b in zip(inv[k], row)]
+                x[k] -= dk * xr
+        inv[r], x[r] = row, xr
+        self._basis[r] = q
 
-    def tableau_solution(self) -> tuple[np.ndarray, np.ndarray]:
-        """alpha and lambda as the tableau holds them, clipped at 0 and
-        normalized onto the simplex: y_j is the right-hand side of its row
-        where y_j is basic (else 0), and mu_i the row-0 entry of slack i
-        where that slack is nonbasic (else 0).  Read on Python floats; the
-        clip, the pairwise sum and the division give the bits of
-        ``np.maximum(x, 0.0)``, ``.sum()`` and ``/``, NaN included."""
-        n, m = self.n, self.m
-        t = self._t
-        y, mu = [0.0] * m, [0.0] * n
-        for var, x in zip(self._row_var[:n].tolist(), t[1:n + 1, m].tolist()):
-            if var < m:
-                y[var] = 0.0 if x <= 0.0 else x
-        for var, x in zip(self._col_var.tolist(), t[0, :m].tolist()):
-            if var >= m:
-                mu[var - m] = 0.0 if x <= 0.0 else x
-        return (np.array(y) / _pairwise_sum(y),
-                np.array(mu) / _pairwise_sum(mu))
+    def read(self) -> tuple[np.ndarray, np.ndarray]:
+        """alpha and lambda as the LP holds them, clipped at 0 and
+        normalized onto the simplex: alpha from the prices pi, lambda from
+        the basic mu's in basis order (0 for every other column).  Read on
+        Python floats; the clip, the pairwise sum and the division give the
+        bits of ``np.maximum(x, 0.0)``, ``.sum()`` and ``/``, NaN
+        included."""
+        m = self.m
+        y = [0.0 if x <= 0.0 else x for x in self._pi]
+        rows = [(v - m, 0.0 if x <= 0.0 else x)
+                for v, x in zip(self._basis, self._x) if v >= m]
+        total = _pairwise_sum([x for _, x in rows])
+        lam = np.zeros(self.n)
+        for i, x in rows:
+            lam[i] = x / total
+        return np.array(y) / _pairwise_sum(y), lam
 
     def solution(self) -> tuple[np.ndarray, np.ndarray]:
         """alpha = y / sum y and lambda = mu / sum mu, both on the simplex.
 
-        The dual, min 1'mu s.t. C'mu >= 1, mu >= 0, has min(lambda C) = v =
-        max(C alpha).  Both are solved from the basis: binding rows R and
-        basic y_B give C[R, B] y_B = 1 and mu_R' C[R, B] = 1', so rounding
-        that the tableau gathers over many pivots only picks the basis.
+        The dual has min(lambda C) = v = max(C alpha).  Both are solved
+        from the basis: binding rows R and basic y_B give C[R, B] y_B = 1
+        and mu_R' C[R, B] = 1', so rounding that the updates gather over
+        many pivots only picks the basis.
         """
         n, m = self.n, self.m
-        row_var, col_var = self._row_var[:n], self._col_var
-        basic = row_var[row_var < m]
-        binding = col_var[col_var >= m] - m
+        binding = sorted(v - m for v in self._basis if v >= m)
+        basic = sorted(set(range(m)) - set(self._basis))
         inv = np.linalg.inv(self.columns[binding][:, basic])
         y = np.zeros(m)
         y[basic] = np.maximum(inv.sum(axis=1), 0.0)
@@ -342,36 +355,34 @@ def cutting_plane_value(problem: WeightedProblem,
     Stops when the full-grid bracket is narrower than ``config.epsilon`` or
     pinched exactly (converged), when the full-grid oracle returns a value
     vector already held (the master LP would repeat itself; not converged),
-    or after ``config.max_iterations`` master-LP iterations on both grids
-    (not converged); the result's ``stop_reason`` says which.
+    or after ``config.max_iterations`` master-LP iterations on both grids,
+    the first query (at the axis optimum) not counted (not converged); the
+    result's ``stop_reason`` says which.
     ``config.record_trace`` is not used.  The result carries the full-grid
     query point with the smallest g, and the held columns with their
     queries and lambda-mix ``shares``.
     """
     totals = problem.totals
     grid = _coarse_problem(problem)
-    pvv = maxsum_partition(grid, np.full(problem.m, 1.0 / problem.m))
-    best = pvv
     # every value vector is at most totals, up to summation order
     lp = _MasterLP(totals, totals.max())
-    lp.add(pvv.u)
     held = {u.tobytes() for u in lp.columns}
-    queries, coarse = [pvv.alpha], [grid is not problem]
-    lb, stalled = -np.inf, False
+    queries, coarse = [], []
+    best, lb, stalled, calls = None, -np.inf, False, 0
 
-    t = 0
     while True:
         # the bracket is tested on the bound of the LP that holds every
         # column so far, the newest one included
-        alpha, lam = lp.tableau_solution()
-        lb = max(lb, float((lam @ lp.columns).min()))
-        width = best.g_value - lb
-        # the coarse phase leaves the last iteration to the full grid
+        alpha, lam = lp.read()
+        lb = max(lb, min((lam @ lp.columns).tolist()))
+        width = np.inf if best is None else best.g_value - lb
+        # the first query, at the axis optimum, is no iteration; the coarse
+        # phase leaves the last iteration to the full grid
         reason = ("epsilon" if width < config.epsilon
                   else "exact" if width < _EXACT_STOP_TOL
                   else "stall" if stalled
                   else "max_iter"
-                  if t >= config.max_iterations - (grid is not problem)
+                  if calls > config.max_iterations - (grid is not problem)
                   else None)
         if reason is not None and grid is not problem:
             # a coarse g bounds only the coarse value: certify at the best
@@ -380,7 +391,7 @@ def cutting_plane_value(problem: WeightedProblem,
         if reason is not None:
             break
         pvv = maxsum_partition(grid, alpha)
-        t += 1
+        calls += 1
         if best is None or pvv.g_value < best.g_value:
             best = pvv
         key = pvv.u.tobytes()
@@ -394,8 +405,9 @@ def cutting_plane_value(problem: WeightedProblem,
     # on an exact pinch (always so for m == 1) g and the bound sum the same
     # cells in different orders and may differ in the last bit
     return CuttingResult(lower=min(lb, best.g_value), upper=best.g_value,
-                         pvv=best, iterations=t,
+                         pvv=best, iterations=calls - 1,
                          converged=reason in ("epsilon", "exact"),
                          problem=problem, columns=lp.columns,
-                         queries=np.array(queries), coarse=np.array(coarse),
+                         queries=np.reshape(queries, (-1, problem.m)),
+                         coarse=np.array(coarse, dtype=bool),
                          stop_reason=reason, pivots=lp.pivots, _master=lp)

@@ -483,7 +483,7 @@ def test_invalid_solver_setting_fails_before_any_table(capsys, monkeypatch,
     ([], [((0,), (1,), (2,), (3,), (4,))], "[0.999531, 1.00025]"),
     (["--coalitions", "3,5|1|2|4"],
      [((0,), (1,), (2,), (3,), (4,)), ((2, 4), (0,), (1,), (3,))],
-     "[0.999549, 1.00021]"),
+     "[0.999808, 1.00002]"),
 ])
 def test_pre_weights_measure_the_singletons_once(capsys, monkeypatch,
                                                  structure, tables, bracket):
@@ -729,6 +729,8 @@ def test_player_out_of_range_exit_code(disjoint_file, capsys):
     (["trace", "--coalitions", "1,|2"], "cannot parse player list '1,'"),
     (["game", "--subset", "2,2"], "repeated player in '2,2'"),
     (["partition", "--coalitions", "|"], "empty coalition structure"),
+    (["solve", "--coalitions", "1||2"], "empty coalition in '1||2'"),
+    (["trace", "--coalitions", "1|2|"], "empty coalition in '1|2|'"),
 ])
 def test_bad_player_list_exit_code(disjoint_file, capsys, argv, message):
     rc = main(["--problem", disjoint_file, "--command"] + argv)

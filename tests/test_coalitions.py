@@ -167,6 +167,27 @@ def test_final_lambda_solved_only_where_read(five_players, monkeypatch):
     assert len(solved) == 1
 
 
+def test_bundled_pass_oracle_calls(five_players, monkeypatch):
+    # the pre-solve and both full games of the bundled pass, with the
+    # pre-solve's shares, query the maxsum oracle exactly this often on the
+    # 64-cell and the 4,096-cell grid
+    calls = {}
+    oracle = fairdiv.cutting.maxsum_partition
+
+    def spy(problem, alpha):
+        cells = problem.grid.cell_count
+        calls[cells] = calls.get(cells, 0) + 1
+        return oracle(problem, alpha)
+
+    monkeypatch.setattr(fairdiv.cutting, "maxsum_partition", spy)
+    for _ in range(2):
+        calls.clear()
+        pre = pre_division_weights(five_players)
+        full_game(five_players, cardinality_weights())
+        full_game(five_players, pre)
+        assert calls == {64: 519, 4096: 107}
+
+
 def test_full_game_values_each_unit_once(five_players, all_subsets_5,
                                          monkeypatch):
     valued = []

@@ -162,32 +162,37 @@ def test_deterministic(competitive_problem):
                                                 b.iterations)
 
 
+def _master_lp_case(rng, k: int, m: int):
+    """A random nonnegative column set, the m axis rows first: plain, with
+    duplicate columns, with all-zero rows, or on a coarse lattice (ties), by
+    k mod 4.  It comes with a row order that mixes the axis rows in."""
+    totals = rng.uniform(0.05, 2.0, m)
+    held = rng.uniform(0.0, 1.0, (int(rng.integers(0, 40)), m)) * totals
+    if k % 4 == 1 and len(held):
+        held = np.vstack([held, held[rng.integers(0, len(held), 3)]])
+    elif k % 4 == 2:
+        held = np.vstack([held, np.zeros((2, m))])
+    elif k % 4 == 3:
+        totals = np.round(totals * 4) / 4 + 0.25
+        held = np.round(held * 4) / 4
+    columns = np.vstack([np.diag(totals), held])
+    return columns, rng.permutation(len(columns))
+
+
 def _master_lp_cases():
-    """Random nonnegative column sets, the m axis rows first: plain, with
-    duplicate columns, with all-zero rows, and on a coarse lattice (ties).
-    Each comes with a row order that mixes the axis rows in."""
+    """400 column sets (``_master_lp_case``) at m = 1 to 8."""
     rng = np.random.default_rng(404)
     for k in range(400):
         m = 1 if k % 10 == 0 else int(rng.integers(2, 9))
-        totals = rng.uniform(0.05, 2.0, m)
-        held = rng.uniform(0.0, 1.0, (int(rng.integers(0, 40)), m)) * totals
-        if k % 4 == 1 and len(held):
-            held = np.vstack([held, held[rng.integers(0, len(held), 3)]])
-        elif k % 4 == 2:
-            held = np.vstack([held, np.zeros((2, m))])
-        elif k % 4 == 3:
-            totals = np.round(totals * 4) / 4 + 0.25
-            held = np.round(held * 4) / 4
-        columns = np.vstack([np.diag(totals), held])
-        yield columns, rng.permutation(len(columns))
+        yield _master_lp_case(rng, k, m)
 
 
 def _assert_master_optimal(lp):
-    """Both the tableau read (the loop's alpha and lambda) and the basis
+    """Both the LP read (the loop's alpha and lambda) and the basis
     re-solve (the final lambda) are on the simplex and optimal."""
     columns = lp.columns
     value = master_lp_value(columns)
-    for alpha, lam in (lp.tableau_solution(), lp.solution()):
+    for alpha, lam in (lp.read(), lp.solution()):
         for w in (alpha, lam):
             _check_alpha(w, len(w))
         # max(C alpha) >= v >= min(lambda C): equal, both are optimal
@@ -199,7 +204,7 @@ def _assert_master_optimal(lp):
 
 def _assert_warm_optimal(columns):
     """Start from the axis rows and add the other rows one at a time; the
-    warm tableau must be optimal after every add."""
+    warm LP must be optimal after every add."""
     m = columns.shape[1]
     lp = _MasterLP(np.diagonal(columns), columns[:m].max())
     for i in range(m, len(columns)):
@@ -209,7 +214,7 @@ def _assert_warm_optimal(columns):
 
 def test_master_lp_is_optimal():
     # every row of a case, the axis rows again among them, joins in the
-    # case's permuted order; the tableau is then rebuilt from the axis start
+    # case's permuted order; the LP is then restarted from the axis basis
     for columns, order in _master_lp_cases():
         lp = _MasterLP(np.diagonal(columns), columns.max())
         for row in columns[order]:
@@ -221,7 +226,7 @@ def test_master_lp_is_optimal():
 
 def test_master_lp_grows_past_its_initial_storage():
     # more held columns than ``_ROWS``: the storage doubles twice, and the
-    # warm tableau and its cold rebuild stay optimal
+    # warm LP and its restart from the axis basis stay optimal
     rng = np.random.default_rng(909)
     totals = rng.uniform(0.5, 2.0, 4)
     lp = _MasterLP(totals, totals.max())
@@ -234,17 +239,17 @@ def test_master_lp_grows_past_its_initial_storage():
     _assert_master_optimal(lp)
 
 
-def _array_tableau_solution(lp):
-    """``tableau_solution`` in numpy arrays, as the float read must give
-    it bit for bit."""
-    n, m, t = lp.n, lp.m, lp._t
-    primal = np.zeros(m + n)
-    primal[lp._row_var[:n]] = t[1:n + 1, m]
-    dual = np.zeros(m + n)
-    dual[lp._col_var] = t[0, :m]
-    y = np.maximum(primal[:m], 0.0)
-    mu = np.maximum(dual[m:], 0.0)
-    return y / y.sum(), mu / mu.sum()
+def _array_read(lp):
+    """``read`` in numpy arrays, as the float read must give it bit for
+    bit: alpha from the prices, lambda from the basic mu's in basis
+    order."""
+    basis, values = np.array(lp._basis), np.array(lp._x)
+    on = basis >= lp.m
+    mu = np.maximum(values[on], 0.0)
+    lam = np.zeros(lp.n)
+    lam[basis[on] - lp.m] = mu / mu.sum()
+    y = np.maximum(np.array(lp._pi), 0.0)
+    return y / y.sum(), lam
 
 
 def _assert_same_bits(got, want):
@@ -258,24 +263,24 @@ def test_tableau_read_matches_its_array_form():
         lp = _MasterLP(np.diagonal(columns), columns.max())
         for row in columns[order]:
             lp.add(row)
-            _assert_same_bits(lp.tableau_solution(),
-                              _array_tableau_solution(lp))
+            _assert_same_bits(lp.read(), _array_read(lp))
 
 
 def test_tableau_read_keeps_nan_and_clips_negative_zero():
-    # at the axis start every y_j is basic in row j and every slack is
-    # nonbasic in row 0; a NaN goes through the clip, as in np.maximum,
-    # and -0.0 clips to +0.0
+    # at the axis start mu_j is basic at basis position j and every surplus
+    # is nonbasic, so pi holds every y_j; a NaN goes through the clip, as in
+    # np.maximum, and -0.0 clips to +0.0
     lp = _MasterLP(np.array([1.0, 2.0, 4.0]), 4.0)
-    lp._t[1, 3] = -0.0
-    lp._t[0, 1] = -0.0
-    _assert_same_bits(lp.tableau_solution(), _array_tableau_solution(lp))
-    assert not np.signbit(lp.tableau_solution()[0]).any()
-    lp._t[2, 3] = np.nan
-    lp._t[0, 2] = np.nan
-    alpha, lam = lp.tableau_solution()
+    lp._x[0] = -0.0
+    lp._pi[1] = -0.0
+    _assert_same_bits(lp.read(), _array_read(lp))
+    assert not np.signbit(lp.read()[0]).any()
+    assert not np.signbit(lp.read()[1]).any()
+    lp._x[1] = np.nan
+    lp._pi[2] = np.nan
+    alpha, lam = lp.read()
     assert np.isnan(alpha).all() and np.isnan(lam).all()
-    want = _array_tableau_solution(lp)
+    want = _array_read(lp)
     assert np.isnan(want[0]).all() and np.isnan(want[1]).all()
 
 
@@ -283,7 +288,8 @@ def test_first_master_lp_bounds_above_the_diagonal_bound():
     # the master LP over the axis points and the first value vector bounds
     # at least as high as that vector's closed-form diagonal bound, so the
     # solver needs no other lower bound; the first value vector is either
-    # the uniform query's or an axis point
+    # the one at the LP's first query (the axis optimum, alpha ~ 1 / totals)
+    # or an axis point
     rng = np.random.default_rng(808)
     for m in range(1, 9):
         for k in range(10):
@@ -295,12 +301,12 @@ def test_first_master_lp_bounds_above_the_diagonal_bound():
                 [random_density(rng) for _ in range(n)], structure,
                 rng.uniform(0.5, 3.0, m).tolist(), Grid(64))
             totals = problem.totals
-            pvv = maxsum_partition(problem, np.full(m, 1.0 / m))
+            lp = _MasterLP(totals, totals.max())
+            pvv = maxsum_partition(problem, lp.read()[0])
             if k % 3 == 2:
                 pvv = replace(pvv, u=np.diag(totals)[rng.integers(0, m)])
-            lp = _MasterLP(totals, totals.max())
             lp.add(pvv.u)
-            _, lam = lp.tableau_solution()
+            _, lam = lp.read()
             diagonal = lower_bound(pvv, totals)
             assert (lam @ lp.columns).min() >= diagonal * (1.0 - 1e-12)
 
@@ -308,6 +314,35 @@ def test_first_master_lp_bounds_above_the_diagonal_bound():
 def test_warm_master_lp_is_optimal():
     for columns, _ in _master_lp_cases():
         _assert_warm_optimal(columns)
+
+
+def test_master_lp_is_optimal_at_larger_m():
+    # m = 9 to 16, past the cases above and every game of the bundled five
+    # players: the m x m basis is pivoted on Python floats, warm after every
+    # add, then restarted from the axis basis
+    rng = np.random.default_rng(414)
+    for k in range(32):
+        columns, order = _master_lp_case(rng, k, 9 + k % 8)
+        _assert_warm_optimal(columns)
+        lp = _MasterLP(np.diagonal(columns), columns.max())
+        for row in columns[order]:
+            lp.add(row)
+        _assert_master_optimal(lp)
+        lp._cold()
+        _assert_master_optimal(lp)
+
+
+def test_sixteen_singletons_bracket_contains_cell_lp_value():
+    rng = np.random.default_rng(1616)
+    players = [random_density(rng) for _ in range(16)]
+    problem = weighted_problem(players, [(i,) for i in range(16)],
+                               [1.0] * 16, Grid(64))
+    value = cell_lp_value(problem)
+    for eps in (1e-3, 1e-6):
+        res = cutting_plane_value(problem, SolverConfig(epsilon=eps))
+        assert res.converged and res.width < eps
+        assert res.lower <= value + LP_TOL
+        assert res.upper >= value - LP_TOL
 
 
 def test_warm_master_lp_on_solver_iterations():
@@ -321,23 +356,23 @@ def test_warm_master_lp_on_solver_iterations():
 
 def _count_pivots(monkeypatch) -> list[int]:
     count = [0]
-    pivot = _MasterLP._pivot
+    exchange = _MasterLP._exchange
 
-    def counted(self, r, k):
+    def counted(self, *args):
         count[0] += 1
-        pivot(self, r, k)
+        exchange(self, *args)
 
-    monkeypatch.setattr(_MasterLP, "_pivot", counted)
+    monkeypatch.setattr(_MasterLP, "_exchange", counted)
     return count
 
 
 def test_warm_start_pivot_count(competitive_problem, monkeypatch):
-    # the pre-solve behind pre-division weights (63 iterations) takes 76
-    # dual pivots from the axis start, each value vector added to the held
-    # tableau (79 when the first one joined a slack-basis start solved by
-    # primal pivots); solving every master LP cold from the slack basis
-    # took 1,293 over its 64 iterations (1,326 with the extra LP that
-    # ``shares`` then solved)
+    # the pre-solve behind pre-division weights (67 iterations on both
+    # grids) takes 90 pivots from the axis basis, each value vector added to
+    # the held basis; when it ran on the full grid alone (63 iterations),
+    # solving every master LP cold from the slack basis took 1,293 pivots
+    # over its 64 iterations (1,326 with the extra LP that ``shares`` then
+    # solved)
     count = _count_pivots(monkeypatch)
     res = cutting_plane_value(competitive_problem, SolverConfig(epsilon=1e-9))
     assert res.converged
@@ -351,8 +386,8 @@ def test_result_counts_pivots(competitive_problem, monkeypatch):
 
 
 def test_cold_rebuild_matches_warm(competitive_problem, monkeypatch):
-    # with no warm pivots allowed, every add that needs a pivot rebuilds
-    # the tableau from the axis start; the bracket and the partition agree
+    # with no warm pivots allowed, every add that needs a pivot restarts
+    # the LP from the axis basis; the bracket and the partition agree
     # with the warm solve (the pinched master LP is degenerate, so the two
     # may pick other optimal bases: lambda itself, the last bits of the
     # bracket and the iteration count may differ)
@@ -384,7 +419,7 @@ def test_no_state_outlives_a_solve(competitive_problem):
 
 def test_no_query_once_the_held_columns_close_the_bracket(monkeypatch):
     # before every query past the first on a grid, the master LP over every
-    # column returned so far (HiGHS, independent of the solver's tableau)
+    # column returned so far (HiGHS, independent of the solver's own LP)
     # must still leave that grid's bracket [LP value, smallest g on it] at
     # least epsilon wide: the 64-cell bracket for a 64-cell query, the
     # certified one for a full-grid query
@@ -441,20 +476,24 @@ def test_iteration_cap_leaves_the_last_iteration_to_the_full_grid(
 @pytest.mark.parametrize("cells, grids", [(1000, {125, 1000}), (48, {48})])
 def test_two_grid_bracket_contains_cell_lp_value(monkeypatch, cells, grids):
     # 1,000 cells halve to 125 (odd), so the solve starts there; 48 cells
-    # are no more than 64, so the solve runs on them alone
+    # are no more than 64, so the solve runs on them alone.  A single
+    # coalition's coarse query can return its axis point, which is held, so
+    # for m = 1 a coarse phase may end with no coarse column
     rng = np.random.default_rng(211)
     seen = _spy_grids(monkeypatch)
     for _ in range(6):
         problem = random_problem(rng, max_players=5, max_m=5, cells=cells)
         value = cell_lp_value(problem)
         for eps in (1e-3, 1e-6):
+            seen.clear()
             res = cutting_plane_value(problem, SolverConfig(epsilon=eps))
             assert res.converged and res.width < eps
             assert res.lower <= value + LP_TOL
             assert res.upper >= value - LP_TOL
             assert res.pvv.allocation.assignment.size == cells
-            assert res.coarse.any() == (len(grids) == 2)
-    assert set(seen) == grids
+            assert set(seen) == grids
+            if problem.m > 1:
+                assert res.coarse.any() == (len(grids) == 2)
 
 
 def test_shares_expand_coarse_assignments(competitive_problem):
