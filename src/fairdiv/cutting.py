@@ -82,7 +82,8 @@ from operator import mul
 import numpy as np
 
 from .measures import Grid, MeasureTable
-from .partition import WeightedProblem, _pairwise_sum, maxsum_partition
+from .partition import (Allocation, PvvResult, WeightedProblem,
+                        _pairwise_sum, maxsum_partition)
 from .subgradient import _EXACT_STOP_TOL, SolveResult, SolverConfig
 
 #: reduced costs, pivots and ratio ties below this count as zero; the columns
@@ -360,7 +361,10 @@ def cutting_plane_value(problem: WeightedProblem,
     result's ``stop_reason`` says which.
     ``config.record_trace`` is not used.  The result carries the full-grid
     query point with the smallest g, and the held columns with their
-    queries and lambda-mix ``shares``.
+    queries and lambda-mix ``shares``.  A single coalition's value is its
+    total, so that solve makes no oracle call: it returns the bracket
+    [totals[0], totals[0]] and the whole cake to coalition 0 at alpha =
+    (1,), after 0 iterations (stop reason ``"epsilon"``).
     """
     totals = problem.totals
     grid = _coarse_problem(problem)
@@ -369,6 +373,13 @@ def cutting_plane_value(problem: WeightedProblem,
     held = {u.tobytes() for u in lp.columns}
     queries, coarse = [], []
     best, lb, stalled, calls = None, -np.inf, False, 0
+    if problem.m == 1:
+        # the whole cake to the one coalition is the value, and the axis
+        # bound already equals it: no query is needed
+        grid, best = problem, PvvResult(
+            alpha=np.ones(1), allocation=Allocation(problem.grid, np.zeros(
+                problem.grid.cell_count, dtype=np.intp)),
+            u=totals.copy(), g_value=float(totals[0]))
 
     while True:
         # the bracket is tested on the bound of the LP that holds every
@@ -402,10 +413,10 @@ def cutting_plane_value(problem: WeightedProblem,
             queries.append(pvv.alpha)
             coarse.append(grid is not problem)
 
-    # on an exact pinch (always so for m == 1) g and the bound sum the same
-    # cells in different orders and may differ in the last bit
+    # on an exact pinch g and the bound sum the same cells in different
+    # orders and may differ in the last bit
     return CuttingResult(lower=min(lb, best.g_value), upper=best.g_value,
-                         pvv=best, iterations=calls - 1,
+                         pvv=best, iterations=max(calls - 1, 0),
                          converged=reason in ("epsilon", "exact"),
                          problem=problem, columns=lp.columns,
                          queries=np.reshape(queries, (-1, problem.m)),

@@ -15,20 +15,25 @@ most once inside the cell, and otherwise a lower bound.  Edge dominance is
 read off rank runs: one stable sort per table finds the R runs of grid
 edges over which the ranking of the players' edge densities is constant
 (only players that share a coalition are ranked), and on a run every
-coalition has one edge-dominant member, ties going to the lowest index.  Rows are built by a prefix walk: a row extends its
-prefix's largest member mass by one player (one K-wide maximum) and its
-per-run dominant member (O(R)), so split cells are found without visiting
-the K+1 edges.
+coalition has one edge-dominant member, ties going to the lowest index.
+Rows are built by a prefix walk: a row extends its prefix's largest member
+mass by one player (one K-wide maximum) and its per-run dominant member
+(O(R)), so split cells are found without visiting the K+1 edges.
 
 Beta densities and CDFs are closed forms from ``scipy.special``, one
-expression for scalar and array arguments.  A piecewise density finds the
-piece holding x among its interior breakpoints, by ``bisect_right`` for a
-float and ``_pieces`` for an array, which agree.  Root finds and split cells
-evaluate densities and CDFs on plain floats through ``_density_at`` and
-``_cdf_at``.  The crossing inside a split cell is found by ``_brentq``, a
-port of scipy's Brent method that returns the same floats: it is the
-library's one root find, and one call site did not justify the 0.2 s and
-23 MB that loading ``scipy.optimize`` costs.
+expression for scalar and array arguments.  A player's cell masses
+(``cell_masses``) are CDF differences, except for the cells of a
+non-integer beta at least 32 cells from 0 and 1: there ``betainc`` costs
+about 300 ns per edge, and each cell integrates the Taylor series of the
+density at its left edge instead, from a three-term recurrence.  A
+piecewise density finds the piece holding x among its interior
+breakpoints, by ``bisect_right`` for a float and ``_pieces`` for an array,
+which agree.  Root finds and split cells evaluate densities and CDFs on
+plain floats through ``_density_at`` and ``_cdf_at``.  The crossing inside
+a split cell is found by ``_brentq``, a port of scipy's Brent method that
+returns the same floats: it is the library's one root find, and one call
+site did not justify the 0.2 s and 23 MB that loading ``scipy.optimize``
+costs.
 """
 
 from __future__ import annotations
@@ -233,10 +238,135 @@ class Grid:
         return np.linspace(0.0, 1.0, self.cell_count + 1)
 
 
+#: a cell of a non-integer beta at least this many cells from 0 and from 1
+#: takes its mass from the density's Taylor series at its left edge
+_SERIES_MARGIN = 32
+#: terms a series cell may take before it falls back to ``betainc``
+_SERIES_TERMS = 30
+#: a series cell stops once two consecutive terms sum below this share of its
+#: mass
+_SERIES_TOL = 2.0 ** -60
+#: a series cell whose terms' absolute values sum above this multiple of its
+#: mass lost digits to cancellation and falls back to ``betainc``
+_SERIES_SPREAD = 16.0
+#: series cells summed at once, so that the loop's arrays stay in cache
+_SERIES_CHUNK = 4096
+#: a density below the smallest normal float has underflowed
+_NORMAL = float(np.finfo(float).tiny)
+
+
 def cell_masses(spec: DensitySpec, grid: Grid) -> np.ndarray:
-    """Per-cell masses as CDF differences; they sum to 1 up to rounding."""
-    cdf = density_cdf(spec, grid.edges)
-    return np.diff(cdf)
+    """Per-cell masses of one player; they sum to 1 up to rounding.
+
+    A piecewise, uniform or integer-shape beta density takes CDF
+    differences at the grid edges.  So does every cell of a non-integer
+    beta within ``_SERIES_MARGIN`` (32) cells of 0 or 1.  Each other cell
+    [x0, x0 + h] of a non-integer beta integrates the Taylor series of the
+    density at x0 (``_series_masses``), whose radius min(x0, 1 - x0) is at
+    least 32 h; ``betainc`` runs only at the edges of the 64 end cells and
+    of the series cells that fall back (``_series_masses``: underflow, no
+    convergence within 30 terms, or cancellation).  At 32,768 cells
+    ``betainc`` costs about 300 ns per edge at non-integer shapes and
+    40-50 ns at integer ones (Boost's finite sum), against 60-85 ns per
+    cell for the series and 15 ns per edge for the density, so integer
+    shapes keep it.  The series cells are scaled together so that they
+    hold the CDF difference over their span, less the fallback cells in
+    it: ``betaln``, which normalizes the density, is up to 1e-12 off at
+    large shapes (9.2e-13 at Beta(1000.5, 2.5)), and the CDF is not.
+    Every mass is then within 2e-14 of its CDF difference on the tested
+    shapes, and the largest gap (8.8e-15, Beta(50.5, 30.2)) is an error
+    of ``betainc`` itself: the series mass is within 1e-18 of the exact
+    one there.
+    """
+    edges, cells = grid.edges, grid.cell_count
+    lo, hi = _SERIES_MARGIN, cells - _SERIES_MARGIN
+    if (spec.kind != "beta" or lo >= hi
+            or (float(spec.a).is_integer() and float(spec.b).is_integer())):
+        return np.diff(density_cdf(spec, edges))
+    f0 = density_eval(spec, edges[lo:hi])
+    masses = np.full(cells, np.nan)
+    total = _series_masses(spec, edges[lo:hi], edges[lo + 1:hi + 1], f0,
+                           masses[lo:hi])
+
+    # the end cells and the fallback cells take CDF differences
+    redo = np.flatnonzero(np.isnan(masses))
+    at = np.union1d(redo, redo + 1)
+    cdf = density_cdf(spec, edges[at])
+    left = np.searchsorted(at, redo)
+    redone = cdf[left + 1] - cdf[left]
+    if total > 0.0:
+        span = cdf[np.searchsorted(at, hi)] - cdf[np.searchsorted(at, lo)]
+        fell_back = redone[(redo >= lo) & (redo < hi)].sum()
+        masses[lo:hi] *= max(span - fell_back, 0.0) / total
+    masses[redo] = redone
+    return masses
+
+
+def _series_masses(spec: DensitySpec, x0: np.ndarray, x1: np.ndarray,
+                   f0: np.ndarray, out: np.ndarray) -> float:
+    """Beta masses of the cells [x0, x1] from the Taylor series of the
+    density f at x0, where f is f0, written to ``out``; ``out`` keeps what
+    it holds (NaN, from the caller) where a cell falls back.  Returns the
+    sum of the masses written.
+
+    The density solves x (1 - x) f' = [(a - 1)(1 - x) - (b - 1) x] f, so its
+    coefficients f = sum e_n (x - x0)^n follow the three-term recurrence
+
+        p0 (n + 1) e_{n+1} = (q0 - p1 n) e_n + (q1 + n - 1) e_{n-1},
+
+    e_0 = f0, e_{-1} = 0, p0 = x0 (1 - x0), p1 = 1 - 2 x0, q0 = (a - 1)(1 -
+    x0) - (b - 1) x0 and q1 = 2 - a - b, and the mass is sum t_n h with t_n
+    = e_n h^n / (n + 1) and h = x1 - x0.  All cells are summed at once,
+    ``_SERIES_CHUNK`` at a time, and each stops once two consecutive terms
+    sum below ``_SERIES_TOL`` of its sum (one term is not enough: at the
+    mode of a symmetric density every odd term is 0).  At 32,768 cells
+    that takes 6 to 13 terms, mostly 7 or 8, and up to 28 at Beta(200.3,
+    150.7).  A cell falls back if its density underflowed (below the
+    smallest normal float), if it has not stopped within ``_SERIES_TERMS``
+    (30) terms, or if its terms' absolute values sum above
+    ``_SERIES_SPREAD`` (16) times its sum, which bounds what cancellation
+    can cost; no ratio is taken, so no 0/0 occurs.
+    """
+    written, q1 = 0.0, 2.0 - spec.a - spec.b
+    with np.errstate(all="ignore"):  # a diverging cell just falls back
+        for start in range(0, x0.size, _SERIES_CHUNK):
+            chunk = slice(start, start + _SERIES_CHUNK)
+            cell = np.flatnonzero(f0[chunk] >= _NORMAL) + start
+            x, t = x0[cell], f0[cell]
+            width = x1[cell] - x
+            hp = width / (x * (1.0 - x))
+            # growth = h (q0 - p1 (n - 1)) / p0 at term n, from n = 1
+            growth = hp * ((spec.a - 1.0) * (1.0 - x) - (spec.b - 1.0) * x)
+            drop = hp * (1.0 - 2.0 * x)
+            curve = hp * width
+            t_prev = np.zeros_like(t)
+            total, spread, last = t.copy(), t.copy(), t.copy()
+            for n in range(1, _SERIES_TERMS):
+                # t_n = growth t_{n-1} / (n + 1)
+                #       + curve (q1 + n - 2)(n - 1) / (n (n + 1)) t_{n-2}
+                nxt = growth * t
+                nxt /= n + 1.0
+                nxt += (curve * t_prev) * ((q1 + n - 2.0) * (n - 1.0)
+                                           / (n * (n + 1.0)))
+                total += nxt
+                size = np.abs(nxt)
+                spread += size
+                done = size + last <= _SERIES_TOL * total
+                if done.any():
+                    ok = done & (spread <= _SERIES_SPREAD * total)
+                    mass = width[ok] * total[ok]
+                    out[cell[ok]] = mass
+                    written += mass.sum()
+                    keep = ~done
+                    (cell, width, growth, drop, curve, t, nxt, total, spread,
+                     size) = (v[keep] for v in (
+                         cell, width, growth, drop, curve, t, nxt, total,
+                         spread, size))
+                    if not cell.size:
+                        break
+                growth -= drop
+                last, t_prev, t = size, t, nxt
+    return written
 
 
 @dataclass(frozen=True)
@@ -281,16 +411,16 @@ class MeasureTable:
         )
 
 
-def _split_cell_mass(specs, cdf_at, cdfs, ia, ib, k, grid) -> float:
+def _split_cell_mass(specs, cdf_at, ia, ib, k, grid) -> float:
     """Mass of cell k with player ia dominating left of the crossing and ib
-    right of it.  ``cdfs[i]`` holds player i's CDF at the grid edges and
-    ``cdf_at[i]`` is its ``_cdf_at`` (both indexed by player, as a mapping
-    or an array), so only the two CDFs at the crossing are evaluated here,
-    on a plain float."""
-    xl, xr = grid.edges[k], grid.edges[k + 1]
+    right of it.  ``cdf_at[i]`` is player i's ``_cdf_at`` (indexed by
+    player, as a mapping or a list): the four CDFs, at the crossing and at
+    the cell's edges, are evaluated on plain floats, which give the bits of
+    the array evaluation at the edges."""
+    xl, xr = float(grid.edges[k]), float(grid.edges[k + 1])
     split = _crossing_point(specs[ia], specs[ib], xl, xr)
-    return (cdf_at[ia](split) - cdfs[ia][k]) \
-        + (cdfs[ib][k + 1] - cdf_at[ib](split))
+    return (cdf_at[ia](split) - cdf_at[ia](xl)) \
+        + (cdf_at[ib](xr) - cdf_at[ib](split))
 
 
 def _crossing_point(spec_a, spec_b, xl, xr) -> float:
@@ -414,11 +544,13 @@ def coalition_table(players, subsets, grid: Grid) -> MeasureTable:
     larger of that and the mass split at their crossing: exact when
     dominance changes at most once inside the cell, a lower bound otherwise.
     A split mass depends only on the ordered pair and the cell, so it is
-    computed once per table however many rows contain the pair.  The CDF
-    of each player a row names is evaluated once, at every grid edge, for
-    its cell masses and for the edge terms of its split masses, so a split
-    cell evaluates only the two CDFs at its crossing, on plain floats
-    (``_cdf_at``).  A player no row names is not evaluated at all.
+    computed once per table however many rows contain the pair.  The cell
+    masses of each player a row names are computed once (``cell_masses``:
+    CDF differences, or the Taylor series of a non-integer beta density),
+    and a
+    split cell evaluates its four CDFs, at its crossing and its two edges,
+    on plain floats (``_cdf_at``), which give the bits of the array CDF at
+    the edges.  A player no row names is not evaluated at all.
 
     Edge dominance is read off rank runs (``_rank_runs``): one stable sort
     per table of the edge densities of the players that share a row with
@@ -451,9 +583,8 @@ def coalition_table(players, subsets, grid: Grid) -> MeasureTable:
     ranked = sorted({p for s in subsets if len(s) > 1 for p in s})
     starts, order = _rank_runs(players, ranked, grid)
     named = sorted({p for s in subsets for p in s})
-    cdfs = {p: density_cdf(players[p], grid.edges) for p in named}
     cdf_at = {p: _cdf_at(players[p]) for p in named}
-    player_masses = {p: np.diff(cdfs[p]) for p in named}
+    player_masses = {p: cell_masses(players[p], grid) for p in named}
 
     # rank_code[p, r] = n * (p's rank on run r) + p, so the smallest code
     # over a coalition's members names its edge-dominant member on run r; an
@@ -496,7 +627,7 @@ def coalition_table(players, subsets, grid: Grid) -> MeasureTable:
             mass = split_masses.get((ia, ib, k))
             if mass is None:
                 mass = split_masses[ia, ib, k] = _split_cell_mass(
-                    players, cdf_at, cdfs, ia, ib, k, grid)
+                    players, cdf_at, ia, ib, k, grid)
             row[k] = max(mass, row[k])
 
     return MeasureTable(grid=grid, coalitions=tuple(subsets), masses=masses)

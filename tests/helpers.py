@@ -5,17 +5,29 @@ force enumerates assignments, the argmax maxsum takes a column-wise argmax
 over the full (m, cells) score matrix, the hull bound solves the linear system
 directly, golden-section is a scalar convex minimizer, the cell LP solves the
 maxmin problem over fractional cell assignments in one linear program, the
-master-LP value comes from HiGHS rather than the library's own simplex, and
-Shapley values are averaged over explicit player orderings.
+master-LP value comes from HiGHS rather than the library's own simplex,
+Shapley values are averaged over explicit player orderings, and a beta cell
+mass is a quadrature of ``scipy.stats``' density.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy import integrate, stats
 from scipy.optimize import linprog
 
 from fairdiv import DensitySpec, Grid, weighted_problem
+
+
+def beta_cell_mass_quad(a: float, b: float, lo: float, hi: float) -> float:
+    """Mass of [lo, hi] under Beta(a, b) by adaptive Gauss-Kronrod
+    quadrature of ``scipy.stats.beta.pdf`` (Boost's density, not the
+    library's), for cells away from 0 and 1 where the density is smooth."""
+    val, err = integrate.quad(stats.beta(a, b).pdf, lo, hi, epsabs=0.0,
+                              epsrel=2e-14, limit=200)
+    assert err <= 1e-13 * val
+    return val
 
 
 def random_density(rng) -> DensitySpec:

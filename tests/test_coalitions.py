@@ -185,7 +185,7 @@ def test_bundled_pass_oracle_calls(five_players, monkeypatch):
         pre = pre_division_weights(five_players)
         full_game(five_players, cardinality_weights())
         full_game(five_players, pre)
-        assert calls == {64: 519, 4096: 107}
+        assert calls == {64: 517, 4096: 105}
 
 
 def test_full_game_values_each_unit_once(five_players, all_subsets_5,

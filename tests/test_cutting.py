@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fairdiv.cutting
 from fairdiv import (DensitySpec, Grid, MeasureTable, SolverConfig,
                      WeightedProblem, cutting_plane_value, lower_bound,
                      maxsum_partition, weighted_problem)
@@ -155,6 +156,32 @@ def test_single_coalition_stops_at_once():
     assert res.upper == pytest.approx(0.5, abs=1e-3)
 
 
+@pytest.mark.parametrize("cells", [7, 64, 4096])
+def test_single_coalition_makes_no_oracle_call(five_players, cells,
+                                               monkeypatch):
+    # one coalition's value is the whole cake's, which the axis bound
+    # already gives: no query on either grid, and the bracket, partition
+    # and shares are the all-cells-to-coalition-0 ones
+    calls = []
+    oracle = fairdiv.cutting.maxsum_partition
+    monkeypatch.setattr(fairdiv.cutting, "maxsum_partition",
+                        lambda *args: calls.append(args) or oracle(*args))
+    problem = weighted_problem(five_players, [(0, 2, 4)], [3.0], Grid(cells))
+    res = cutting_plane_value(problem, SolverConfig(epsilon=1e-9))
+    assert calls == []
+    total = problem.totals[0]
+    assert res.lower == res.upper == total
+    assert res.converged and res.stop_reason == "epsilon"
+    assert res.iterations == 0
+    assert res.pvv.alpha.tolist() == [1.0]
+    assert res.pvv.g_value == total and res.pvv.u.tolist() == [total]
+    assert not res.pvv.allocation.assignment.any()
+    assert res.pvv.allocation.assignment.shape == (cells,)
+    assert res.columns.tolist() == [[total]] and res.queries.shape == (0, 1)
+    assert res.shares.shape == (1, cells) and np.all(res.shares == 1.0)
+    assert calls == []
+
+
 def test_deterministic(competitive_problem):
     a = cutting_plane_value(competitive_problem)
     b = cutting_plane_value(competitive_problem)
@@ -258,7 +285,7 @@ def _assert_same_bits(got, want):
         assert a.tobytes() == b.tobytes()
 
 
-def test_tableau_read_matches_its_array_form():
+def test_master_lp_read_matches_its_array_form():
     for columns, order in _master_lp_cases():
         lp = _MasterLP(np.diagonal(columns), columns.max())
         for row in columns[order]:
@@ -266,7 +293,7 @@ def test_tableau_read_matches_its_array_form():
             _assert_same_bits(lp.read(), _array_read(lp))
 
 
-def test_tableau_read_keeps_nan_and_clips_negative_zero():
+def test_master_lp_read_keeps_nan_and_clips_negative_zero():
     # at the axis start mu_j is basic at basis position j and every surplus
     # is nonbasic, so pi holds every y_j; a NaN goes through the clip, as in
     # np.maximum, and -0.0 clips to +0.0
@@ -442,7 +469,8 @@ def test_no_query_once_the_held_columns_close_the_bracket(monkeypatch):
         monkeypatch.setattr("fairdiv.cutting.maxsum_partition", spy)
         res = cutting_plane_value(problem, SolverConfig(epsilon=eps))
         assert res.converged
-        assert sorted(best) == [64, 128]
+        # a single coalition makes no query at all
+        assert sorted(best) == ([] if problem.m == 1 else [64, 128])
 
 
 def _spy_grids(monkeypatch) -> list[int]:
@@ -477,8 +505,7 @@ def test_iteration_cap_leaves_the_last_iteration_to_the_full_grid(
 def test_two_grid_bracket_contains_cell_lp_value(monkeypatch, cells, grids):
     # 1,000 cells halve to 125 (odd), so the solve starts there; 48 cells
     # are no more than 64, so the solve runs on them alone.  A single
-    # coalition's coarse query can return its axis point, which is held, so
-    # for m = 1 a coarse phase may end with no coarse column
+    # coalition's solve makes no query on either grid
     rng = np.random.default_rng(211)
     seen = _spy_grids(monkeypatch)
     for _ in range(6):
@@ -491,9 +518,8 @@ def test_two_grid_bracket_contains_cell_lp_value(monkeypatch, cells, grids):
             assert res.lower <= value + LP_TOL
             assert res.upper >= value - LP_TOL
             assert res.pvv.allocation.assignment.size == cells
-            assert set(seen) == grids
-            if problem.m > 1:
-                assert res.coarse.any() == (len(grids) == 2)
+            assert set(seen) == (grids if problem.m > 1 else set())
+            assert res.coarse.any() == (problem.m > 1 and len(grids) == 2)
 
 
 def test_shares_expand_coarse_assignments(competitive_problem):

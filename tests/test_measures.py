@@ -11,7 +11,7 @@ from scipy import integrate, optimize, stats
 import fairdiv.measures
 from fairdiv import (DensitySpec, Grid, cell_masses, coalition_table,
                      density_cdf, density_eval)
-from helpers import random_density
+from helpers import beta_cell_mass_quad, random_density
 
 
 def test_density_eval_uniform():
@@ -265,10 +265,10 @@ def test_brentq_fails_as_scipy_does(f, error):
 
 def test_split_cell_evaluates_only_the_crossing_cdfs(
         five_players, all_subsets_5, table_4096, monkeypatch):
-    # each player's CDF is evaluated once, at every grid edge, and a split
-    # cell takes its edge CDFs from there: 2 scalar CDFs per split cell (at
-    # the crossing, through the player's ``_cdf_at``), not 4, and none
-    # through the public ``density_cdf``
+    # each player's (integer-shape or uniform) CDF is evaluated once as an
+    # array, at every grid edge, for its cell masses; a split cell evaluates
+    # its 4 CDFs on plain floats through the players' ``_cdf_at``: 2 at the
+    # crossing, and 2 at its edges, which give the array's bits
     scalar_calls, array_calls = [], []
     cdf, cdf_at = fairdiv.measures.density_cdf, fairdiv.measures._cdf_at
 
@@ -286,7 +286,10 @@ def test_split_cell_evaluates_only_the_crossing_cdfs(
     np.testing.assert_array_equal(table.masses, table_4096.masses)
     assert len(array_calls) == len(five_players)
     assert all(np.array_equal(x, table.grid.edges) for x in array_calls)
-    assert len(scalar_calls) == 2 * 18  # 18 distinct split cells
+    edges = set(table.grid.edges.tolist())
+    at_edges = [x for x in scalar_calls if x in edges]
+    assert len(scalar_calls) == 4 * 18  # 18 distinct split cells
+    assert len(at_edges) == 2 * 18
 
 
 def test_table_evaluates_only_the_players_its_rows_name(five_players,
@@ -397,7 +400,6 @@ def _gathered_rows(players, subsets, grid):
     edges (argmax, so the lowest index on ties) differ."""
     edges = np.clip(grid.edges, 1e-12, 1.0 - 1e-12)
     at_edges = np.vstack([density_eval(p, edges) for p in players])
-    cdfs = np.vstack([density_cdf(p, grid.edges) for p in players])
     cdf_at = [fairdiv.measures._cdf_at(p) for p in players]
     player_masses = np.vstack([cell_masses(p, grid) for p in players])
     rows = []
@@ -407,7 +409,7 @@ def _gathered_rows(players, subsets, grid):
         dominant = np.array(members)[at_edges[members].argmax(axis=0)]
         for k in np.flatnonzero(dominant[:-1] != dominant[1:]):
             split = fairdiv.measures._split_cell_mass(
-                players, cdf_at, cdfs, dominant[k], dominant[k + 1], k, grid)
+                players, cdf_at, dominant[k], dominant[k + 1], k, grid)
             row[k] = max(split, row[k])
         rows.append(row)
     return np.array(rows)
@@ -770,3 +772,114 @@ def test_density_cdf_outside_domain(x):
 def test_coalition_with_unknown_player_rejected(five_players):
     with pytest.raises(ValueError, match="unknown players"):
         coalition_table(five_players, [(0,), (2, 5)], Grid(4))
+
+
+#: shapes and grids the series cell masses are checked on: poles at 0 and 1,
+#: skewed, moderate and narrow densities, and Beta(1000.5, 2.5), whose
+#: ``betaln`` is 9.2e-13 off
+SERIES_SHAPES = [(0.6, 0.7), (0.61, 11.9), (11.7, 0.65), (1.87, 7.1),
+                 (9.13, 2.2), (50.5, 30.2), (200.3, 150.7), (1000.5, 2.5)]
+SERIES_CELLS = [1, 7, 64, 100, 1024, 4096, 32768]
+
+
+@pytest.mark.parametrize("a, b", SERIES_SHAPES)
+def test_series_masses_match_betainc_differences(a, b):
+    # every cell within 2e-14 of its betainc difference (which carries
+    # about 1e-14 of its own at the larger shapes), every row summing to 1
+    spec = DensitySpec.beta(a, b)
+    for cells in SERIES_CELLS:
+        grid = Grid(cells)
+        masses = cell_masses(spec, grid)
+        ref = np.diff(stats.beta.cdf(grid.edges, a, b))
+        assert np.abs(masses - ref).max() <= 2e-14, cells
+        assert abs(masses.sum() - 1.0) <= 1e-13, cells
+
+
+@pytest.mark.parametrize("a, b", SERIES_SHAPES)
+def test_series_masses_match_quadrature(a, b):
+    # interior cells, the first and last at the 32-cell margin, against a
+    # per-cell quadrature of scipy.stats' density
+    spec = DensitySpec.beta(a, b)
+    rng = np.random.default_rng(41)
+    for cells in (100, 1024, 32768):
+        grid = Grid(cells)
+        masses = cell_masses(spec, grid)
+        mode = int(np.argmax(masses))
+        ks = {32, cells - 33, *rng.integers(32, cells - 32, size=8).tolist()}
+        ks |= {k for k in (mode - 1, mode, mode + 1) if 32 <= k < cells - 32}
+        for k in sorted(ks):
+            ref = beta_cell_mass_quad(a, b, grid.edges[k], grid.edges[k + 1])
+            assert abs(masses[k] - ref) <= 2e-16 + 1e-13 * ref, (cells, k)
+
+
+@pytest.mark.parametrize("spec", [
+    DensitySpec.uniform(),
+    DensitySpec.piecewise([0.0, 0.2, 0.7, 1.0], [1.0, 2.0, 0.5]),
+    DensitySpec.beta(2, 5), DensitySpec.beta(1, 1), DensitySpec.beta(10, 10),
+    DensitySpec.beta(30, 3),
+])
+@pytest.mark.parametrize("cells", [1, 7, 64, 100, 4096, 32768])
+def test_cdf_difference_masses_keep_their_bits(spec, cells):
+    # piecewise, uniform and integer-shape beta masses are CDF differences
+    grid = Grid(cells)
+    assert np.array_equal(cell_masses(spec, grid),
+                          np.diff(density_cdf(spec, grid.edges)))
+
+
+def test_underflowing_density_falls_back_cell_by_cell():
+    # Beta(200.3, 150.7)'s density underflows to 0 over much of [0, 1] at
+    # 32,768 cells; those cells take their betainc differences, bit for
+    # bit, as the end cells do, and no RuntimeWarning is raised (the suite
+    # turns one into an error)
+    spec, grid = DensitySpec.beta(200.3, 150.7), Grid(32768)
+    edges = grid.edges
+    f0 = density_eval(spec, edges[32:-33])
+    series = np.full(f0.size, np.nan)
+    fairdiv.measures._series_masses(spec, edges[32:-33], edges[33:-32], f0,
+                                    series)
+    fallback = np.flatnonzero(np.isnan(series)) + 32
+    assert np.all(np.isin(np.flatnonzero(f0 == 0.0) + 32, fallback))
+    assert fallback.size > 100
+    masses = cell_masses(spec, grid)
+    ref = np.diff(density_cdf(spec, edges))
+    redo = np.concatenate([np.arange(32), fallback, np.arange(32768 - 32,
+                                                              32768)])
+    assert np.array_equal(masses[redo], ref[redo])
+    assert np.abs(masses - ref).max() <= 2e-14
+
+
+def test_series_table_evaluates_betainc_at_few_edges(monkeypatch):
+    # two non-integer betas at 32,768 cells: betainc runs at the 33 + 33
+    # edges of each player's end cells and at the 2 edges and the crossing
+    # of each split cell, not at the 32,769 grid edges
+    players = [DensitySpec.beta(1.87, 7.1), DensitySpec.beta(9.13, 2.2)]
+    grid = Grid(32768)
+    points, crossings = [], []
+    betainc = fairdiv.measures.special.betainc
+    solve = fairdiv.measures._crossing_point
+    monkeypatch.setattr(fairdiv.measures.special, "betainc",
+                        lambda a, b, x: points.append(np.size(x))
+                        or betainc(a, b, x))
+    monkeypatch.setattr(fairdiv.measures, "_crossing_point",
+                        lambda *args: crossings.append(args) or solve(*args))
+    table = coalition_table(players, [(0,), (1,), (0, 1)], grid)
+    assert len(crossings) >= 1
+    assert sorted(points) == [1] * (4 * len(crossings)) + [66, 66]
+    assert sum(points) <= 2 * 65 + 2 + 4 * len(crossings)
+    monkeypatch.undo()
+    for p, row in zip(players, table.masses):
+        np.testing.assert_array_equal(row, cell_masses(p, grid))
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_table_rows_keep_the_singleton_masses(seed):
+    # a table's singleton rows, ranked players' included, are bit for bit
+    # what ``cell_masses`` alone gives
+    rng = np.random.default_rng(seed)
+    players = [DensitySpec.beta(*rng.uniform(0.6, 12.0, size=2))
+               for _ in range(3)] + [random_density(rng)]
+    grid = Grid(4096)
+    table = coalition_table(players, _all_subsets(4), grid)
+    for p, spec in enumerate(players):
+        np.testing.assert_array_equal(table.mass_row((p,)),
+                                      cell_masses(spec, grid))
